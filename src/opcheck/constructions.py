@@ -229,10 +229,6 @@ def par(total):
     return ParTheory(total)
 
 
-def par_compose(p, g, f):
-    return p.compose(g, f)
-
-
 # ---------------------------------------------------------------------------
 # Round-trip between the two presentations
 
@@ -777,6 +773,10 @@ class QuotientTheory(Theory):
         if f.dom != g.dom or f.cod != g.cod:
             return False
         return self.signature(f.payload) == self.signature(g.payload)
+
+    def payload_key(self, f):
+        """The probe signature, by which :meth:`equal` compares."""
+        return self.signature(f.payload)
 
     def try_pairing(self, events):
         h = self.base.try_pairing([f.payload for f in events])

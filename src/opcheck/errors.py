@@ -17,6 +17,25 @@ class RowSumExceedsOne(ValidationError):
     pass
 
 
+class EventViolation(ValidationError):
+    """A semiring matrix with an entry or a row sum outside the sub-unit subset.
+
+    ``kind`` is ``"carrier"`` (entry not in the carrier), ``"complement"``
+    (entry with no complement) or ``"row"`` (row sum with no complement);
+    ``row`` and ``col`` locate it (``col`` is None for a row sum) and
+    ``value`` is the offending element.  Matrix theories translate it into
+    their own diagnostics.
+    """
+
+    def __init__(self, kind, row, col, value):
+        where = f"row {row}" if col is None else f"entry ({row},{col})"
+        super().__init__(f"{where} = {value!r} is outside the sub-unit subset ({kind})")
+        self.kind = kind
+        self.row = row
+        self.col = col
+        self.value = value
+
+
 class ChoiNotPositive(ValidationError):
     pass
 

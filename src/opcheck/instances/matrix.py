@@ -16,7 +16,13 @@ from __future__ import annotations
 from itertools import product
 
 from .. import kernel
-from ..errors import BoundExceeded, EntryOutOfRange, RowSumExceedsOne, ValidationError
+from ..errors import (
+    BoundExceeded,
+    EntryOutOfRange,
+    EventViolation,
+    RowSumExceedsOne,
+    ValidationError,
+)
 from ..theory import Morphism, Theory
 
 
@@ -58,18 +64,11 @@ class MatrixTheory(Theory):
                               for i in range(a)])
 
     def _compose(self, g, f):
-        s = self.semiring
-        fa, ga = f.payload, g.payload
-        rows = []
-        for i in range(f.dom):
-            row = []
-            for k in range(g.cod):
-                acc = s.zero
-                for j in range(f.cod):
-                    acc = s.add(acc, s.mul(fa[i][j], ga[j][k]))
-                row.append(acc)
-            rows.append(row)
-        return self.validate_event(rows, f.dom, g.cod)
+        try:
+            rows = kernel.matrix_product(self.semiring, f.payload, g.payload, g.cod)
+        except EventViolation as bad:
+            raise self._diagnostic(bad) from None
+        return Morphism(self, f.dom, g.cod, rows)
 
     def zero_morphism(self, a, b):
         s = self.semiring
@@ -102,20 +101,10 @@ class MatrixTheory(Theory):
 
     # -- tests and merging -------------------------------------------------
     def try_pairing(self, events):
-        s = self.semiring
-        dom = events[0].dom
-        rows = []
-        for i in range(dom):
-            row = []
-            for f in events:
-                row.extend(f.payload[i])
-            total = s.zero
-            for x in row:
-                total = s.add(total, x)
-            if not s.in_unit_interval(total):
-                return None
-            rows.append(row)
-        return self._m(dom, sum(f.cod for f in events), rows)
+        rows = kernel.side_by_side(self.semiring, [f.payload for f in events])
+        if rows is None:
+            return None
+        return Morphism(self, events[0].dom, sum(f.cod for f in events), rows)
 
     def effect_complements(self, e):
         s = self.semiring
@@ -195,25 +184,23 @@ class MatrixTheory(Theory):
 
     # -- validation --------------------------------------------------------
     def validate_event(self, payload, dom, cod):
-        s = self.semiring
-        rows = [tuple(r) for r in payload]
+        rows = tuple(tuple(r) for r in payload)
         if len(rows) != dom or any(len(r) != cod for r in rows):
             raise ValidationError(
                 f"{self.name}: payload shape does not match {dom} -> {cod}")
-        for i, row in enumerate(rows):
-            total = s.zero
-            for j, x in enumerate(row):
-                if not s.contains(x):
-                    raise EntryOutOfRange(
-                        f"{self.name}: entry ({i},{j}) = {x!r} not in carrier")
-                if not s.in_unit_interval(x):
-                    raise EntryOutOfRange(
-                        f"{self.name}: entry ({i},{j}) = {x!r} has no complement")
-                total = s.add(total, x)
-            if not s.in_unit_interval(total):
-                raise RowSumExceedsOne(
-                    f"{self.name}: row {i} sums to {total!r}, which has no complement")
-        return self._m(dom, cod, rows)
+        try:
+            kernel.check_event(self.semiring, rows)
+        except EventViolation as bad:
+            raise self._diagnostic(bad) from None
+        return Morphism(self, dom, cod, rows)
+
+    def _diagnostic(self, bad):
+        if bad.kind == "row":
+            return RowSumExceedsOne(
+                f"{self.name}: row {bad.row} sums to {bad.value!r}, which has no complement")
+        why = "not in carrier" if bad.kind == "carrier" else "has no complement"
+        return EntryOutOfRange(
+            f"{self.name}: entry ({bad.row},{bad.col}) = {bad.value!r} {why}")
 
 
 class SubStochTheory(MatrixTheory):

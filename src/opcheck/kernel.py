@@ -1,19 +1,23 @@
-"""Arithmetic substrates: exact rationals, semirings, complex-matrix checks.
+"""Arithmetic substrates: exact rationals, semirings, semiring matrices and
+complex-matrix checks.
 
-Exact rational arithmetic is delegated to ``fractions.Fraction``, which
-already keeps values in lowest terms with a positive denominator.  Floating
-point is confined to the complex-matrix helpers; every tolerance is passed
-explicitly.
+Exact rational values are ``fractions.Fraction``, which already keeps them
+in lowest terms with a positive denominator.  The product of two rational
+matrices is computed over plain Python integers (numerators over a common
+denominator) and only its result is turned back into ``Fraction``s.
+Floating point is confined to the complex-matrix helpers; every tolerance
+is passed explicitly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import numpy as np
 
-from .errors import EigensolverError, SemiringLawError
+from .errors import EigensolverError, EventViolation, SemiringLawError
 
 DEFAULT_TOL = 1e-9
 
@@ -67,6 +71,7 @@ class Semiring:
     monotone = False
 
     def in_unit_interval(self, a):
+        """Whether the carrier element ``a`` lies in the sub-unit subset."""
         return bool(self.complements(a))
 
     def __repr__(self):
@@ -156,16 +161,23 @@ class FiniteSemiring(Semiring):
 
 
 class RuleSemiring(Semiring):
-    """Rule-defined carrier (a trusted builtin, not validated at load time)."""
+    """Rule-defined carrier (a trusted builtin, not validated at load time).
+
+    ``in_unit_interval``, when given, is a direct test equivalent to
+    ``bool(complements(a))`` on carrier elements; it spares building the
+    complements on the hot paths that only ask for membership.
+    """
 
     def __init__(self, name, *, zero, one, add, mul, contains, complements,
                  grid_elements, element_str=str, parse_element=None,
-                 monotone=False):
+                 monotone=False, in_unit_interval=None):
         super().__init__(name, zero=zero, one=one)
         self.monotone = monotone
         self.add = add
         self.mul = mul
         self.contains = contains
+        if in_unit_interval is not None:
+            self.in_unit_interval = in_unit_interval
         self._complements = complements
         self._grid = grid_elements
         self.element_str = element_str
@@ -208,6 +220,7 @@ NATURALS = RuleSemiring(
     mul=lambda a, b: a * b,
     contains=lambda a: isinstance(a, int) and not isinstance(a, bool) and a >= 0,
     complements=lambda a: (1 - a,) if a <= 1 else (),
+    in_unit_interval=lambda a: a <= 1,
     grid_elements=lambda grid: tuple(range(0, grid + 1)),
     parse_element=_int_parse,
 )
@@ -232,6 +245,8 @@ RATIONALS01 = RuleSemiring(
     mul=lambda a, b: a * b,
     contains=lambda a: isinstance(a, Fraction) and a >= 0,
     complements=lambda a: (1 - a,) if a <= 1 else (),
+    # carrier elements are nonnegative with a positive denominator
+    in_unit_interval=lambda a: a.numerator <= a.denominator,
     grid_elements=lambda grid: tuple(Fraction(k, grid) for k in range(grid + 1)),
     element_str=rational_str,
     parse_element=parse_rational,
@@ -248,6 +263,136 @@ BUILTIN_SEMIRINGS = {
 def semiring_complements(semiring, a):
     """All ``b`` with ``a + b = 1``; empty means ``a`` is not sub-unit."""
     return tuple(semiring.complements(a))
+
+
+# ---------------------------------------------------------------------------
+# Semiring matrices: the product and the event check shared by every matrix
+# theory.  A matrix is a tuple of row tuples; an event is a matrix whose
+# entries and row sums all lie in the sub-unit subset of the carrier.
+
+def check_event(semiring, rows):
+    """Raise :class:`EventViolation` at the first entry (not in the carrier,
+    or with no complement) or row sum (with no complement) of ``rows``,
+    scanning row by row and each row's entries before its sum."""
+    s = semiring
+    add, contains, in_unit = s.add, s.contains, s.in_unit_interval
+    for i, row in enumerate(rows):
+        total = s.zero
+        for j, x in enumerate(row):
+            if not contains(x):
+                raise EventViolation("carrier", i, j, x)
+            if not in_unit(x):
+                raise EventViolation("complement", i, j, x)
+            total = add(total, x)
+        if not in_unit(total):
+            raise EventViolation("row", i, None, total)
+
+
+def semiring_product(semiring, f_rows, g_rows, width):
+    """The checked event ``f_rows`` times ``g_rows`` over the semiring's own
+    operations; ``width`` is the number of columns of ``g_rows``.
+
+    A term is skipped when either factor is zero, which changes no entry by
+    the zero-annihilation and additive-unit laws (checked when a finite
+    semiring loads, and true of the builtins).  This is also the reference
+    :func:`rational_product` is tested against.
+    """
+    s = semiring
+    zero, add, mul = s.zero, s.add, s.mul
+    rows = []
+    for frow in f_rows:
+        row = [zero] * width
+        for x, grow in zip(frow, g_rows):
+            if x == zero:
+                continue
+            for k, y in enumerate(grow):
+                if y != zero:
+                    row[k] = add(row[k], mul(x, y))
+        rows.append(tuple(row))
+    rows = tuple(rows)
+    check_event(s, rows)
+    return rows
+
+
+def _numerators(rows):
+    """``rows`` of rationals as integer numerators over their least common
+    denominator ``d``; returns ``(numerators, d)``."""
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def rational_product(f_rows, g_rows, width):
+    """:func:`semiring_product` over :data:`RATIONALS01`, computed exactly in
+    integers.
+
+    Each factor is scaled to numerators over its common denominator, so the
+    product has denominator ``d`` = the product of the two.  A result
+    numerator ``n`` is in the carrier iff ``n >= 0`` and has a complement
+    iff ``n <= d``; a row has a complement iff its numerators sum to at most
+    ``d``.  These are the checks of :func:`check_event`, in the same order,
+    so both raise the same violation.  ``Fraction``s are built only for the
+    result, reusing the carrier's zero and one.
+    """
+    fn, fd = _numerators(f_rows)
+    gn, gd = _numerators(g_rows)
+    d = fd * gd
+    zero, one = RATIONALS01.zero, RATIONALS01.one
+    rows = []
+    for i, frow in enumerate(fn):
+        acc = [0] * width
+        for x, grow in zip(frow, gn):
+            if x:
+                for k, y in enumerate(grow):
+                    if y:
+                        acc[k] += x * y
+        total = 0
+        for k, n in enumerate(acc):
+            if n < 0:
+                raise EventViolation("carrier", i, k, Fraction(n, d))
+            if n > d:
+                raise EventViolation("complement", i, k, Fraction(n, d))
+            total += n
+        if total > d:
+            raise EventViolation("row", i, None, Fraction(total, d))
+        rows.append(tuple(zero if n == 0 else one if n == d else Fraction(n, d)
+                          for n in acc))
+    return tuple(rows)
+
+
+def row_in_unit(semiring, row):
+    """Whether the entries of ``row`` sum into the sub-unit subset.
+
+    Over :data:`RATIONALS01` the sum is taken in integers, as numerators
+    over the row's common denominator ``d``: it is at most one iff the
+    numerators sum to at most ``d``.
+    """
+    s = semiring
+    if s is RATIONALS01:
+        d = lcm(*[x.denominator for x in row])
+        return sum([x.numerator * (d // x.denominator) for x in row]) <= d
+    total = s.zero
+    for x in row:
+        total = s.add(total, x)
+    return s.in_unit_interval(total)
+
+
+def side_by_side(semiring, matrices):
+    """The matrices joined row by row, or None when a joined row sums
+    outside the sub-unit subset: the pairing of events with a common domain
+    in a matrix theory."""
+    rows = tuple(tuple(x for m in parts for x in m) for parts in zip(*matrices))
+    if all(row_in_unit(semiring, row) for row in rows):
+        return rows
+    return None
+
+
+def matrix_product(semiring, f_rows, g_rows, width):
+    """The checked event ``f_rows`` times ``g_rows``: :func:`rational_product`
+    for :data:`RATIONALS01`, :func:`semiring_product` for any other carrier.
+    Raises :class:`EventViolation` when the product is no event."""
+    if semiring is RATIONALS01:
+        return rational_product(f_rows, g_rows, width)
+    return semiring_product(semiring, f_rows, g_rows, width)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything here is generic over a :class:`~opcheck.theory.Theory`:
 projections, codiagonals, totality, complements, merging of outcome
-events, pairing, outcome-controlled sequencing, convex combinations and
-tensors.  Nothing is instance-specific.
+events, pairing, outcome-controlled sequencing and convex combinations.
+Nothing is instance-specific.
 """
 
 from __future__ import annotations
@@ -42,12 +42,6 @@ class PartialTest:
 
     def __repr__(self):
         return f"PartialTest({self.theory.name}, {len(self.events)} outcomes on {self.theory.object_str(self.dom)})"
-
-
-def compose(g, f):
-    if g.theory is not f.theory:
-        raise CompositionError("cannot compose morphisms of different theories")
-    return g.theory.compose(g, f)
 
 
 def projection(theory, summands, i):
@@ -241,9 +235,3 @@ def _distribute_right(theory, a, n):
         raise CompositionError("distribution map has unexpected domain")
     return out
 
-
-def tensor(f, g):
-    th = f.theory
-    if not th.monoidal:
-        raise NotMonoidal(f"{th.name} has no tensor")
-    return th.tensor(f, g)

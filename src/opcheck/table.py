@@ -18,7 +18,14 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import BoundExceeded, NotEnumerable, TheoryFileError, ValidationError
+from . import kernel
+from .errors import (
+    BoundExceeded,
+    EventViolation,
+    NotEnumerable,
+    TheoryFileError,
+    ValidationError,
+)
 from .theory import Morphism, Theory
 
 
@@ -79,17 +86,12 @@ class TableTheory(Theory):
                               for i in range(n)])
 
     def _compose(self, g, f):
-        s = self.semiring
-        rows = []
-        for i in range(self.object_size(f.dom)):
-            row = []
-            for k in range(self.object_size(g.cod)):
-                acc = s.zero
-                for j in range(self.object_size(f.cod)):
-                    acc = s.add(acc, s.mul(f.payload[i][j], g.payload[j][k]))
-                row.append(acc)
-            rows.append(row)
-        return self.validate_event(rows, f.dom, g.cod)
+        try:
+            rows = kernel.matrix_product(self.semiring, f.payload, g.payload,
+                                         self.object_size(g.cod))
+        except EventViolation as bad:
+            raise self._diagnostic(bad) from None
+        return Morphism(self, f.dom, g.cod, rows)
 
     def zero_morphism(self, a, b):
         s = self.semiring
@@ -134,20 +136,11 @@ class TableTheory(Theory):
 
     # -- tests and merging -------------------------------------------------
     def try_pairing(self, events):
-        s = self.semiring
-        dom = events[0].dom
-        rows = []
-        for i in range(self.object_size(dom)):
-            row = []
-            for f in events:
-                row.extend(f.payload[i])
-            total = s.zero
-            for x in row:
-                total = s.add(total, x)
-            if not s.in_unit_interval(total):
-                return None
-            rows.append(row)
-        return self._m(dom, self.coproduct(tuple(f.cod for f in events)), rows)
+        rows = kernel.side_by_side(self.semiring, [f.payload for f in events])
+        if rows is None:
+            return None
+        return Morphism(self, events[0].dom,
+                        self.coproduct(tuple(f.cod for f in events)), rows)
 
     # -- enumeration -------------------------------------------------------
     def _base_payloads(self, x, y):
@@ -177,10 +170,7 @@ class TableTheory(Theory):
                     row = []
                     for ci, y in enumerate(b):
                         row.extend(choice[ri * len(b) + ci][r])
-                    total = s.zero
-                    for v in row:
-                        total = s.add(total, v)
-                    if not s.in_unit_interval(total):
+                    if not kernel.row_in_unit(s, row):
                         ok = False
                         break
                     rows.append(row)
@@ -198,24 +188,24 @@ class TableTheory(Theory):
 
     # -- validation --------------------------------------------------------
     def validate_event(self, payload, dom, cod):
-        s = self.semiring
-        rows = [tuple(r) for r in payload]
+        rows = tuple(tuple(r) for r in payload)
         n, m = self.object_size(dom), self.object_size(cod)
         if len(rows) != n or any(len(r) != m for r in rows):
             raise ValidationError(
                 f"{self.name}: payload shape does not match "
                 f"{self.object_str(dom)} -> {self.object_str(cod)}")
-        for i, row in enumerate(rows):
-            total = s.zero
-            for j, v in enumerate(row):
-                if not s.contains(v) or not s.in_unit_interval(v):
-                    raise ValidationError(
-                        f"{self.name}: entry ({i},{j}) = {v!r} out of range")
-                total = s.add(total, v)
-            if not s.in_unit_interval(total):
-                raise ValidationError(
-                    f"{self.name}: row {i} sums outside the unit interval")
-        return self._m(dom, cod, rows)
+        try:
+            kernel.check_event(self.semiring, rows)
+        except EventViolation as bad:
+            raise self._diagnostic(bad) from None
+        return Morphism(self, dom, cod, rows)
+
+    def _diagnostic(self, bad):
+        if bad.kind == "row":
+            return ValidationError(
+                f"{self.name}: row {bad.row} sums outside the unit interval")
+        return ValidationError(
+            f"{self.name}: entry ({bad.row},{bad.col}) = {bad.value!r} out of range")
 
     def _find(self, x, y, payload):
         for nm, p in self.homs[(x, y)]:

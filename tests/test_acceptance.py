@@ -85,7 +85,7 @@ def test_02_pfun_positive_fixture(pfun_report):
 
 def test_02_substoch_positive_fixture(substoch_report):
     report, elapsed = substoch_report
-    assert elapsed < 60.0
+    assert elapsed < 40.0
     assert report.flags["effectus"] is True
     for cid in DEF_CONDITIONS:
         assert report.result(cid).verdict == "holds-exhaustive", cid

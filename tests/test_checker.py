@@ -141,3 +141,31 @@ def test_corrupted_composition_is_caught_with_witness():
     assert result.verdict == "fails"
     assert result.witness is not None
     assert result.witness.replay()
+
+
+def test_quotient_classifies_through_its_signature_key():
+    # without a payload key the checker fell back to iterating the wrapped
+    # base event as a numeric payload and raised TypeError
+    report = classify(quotient(SubStochTheory(grid=1)), ProbeConfig(bound=2),
+                      only=["lemma2.3-iii"])
+    assert report.result("lemma2.3-iii").verdict == "holds-exhaustive"
+
+
+@pytest.mark.parametrize("check_id,draws_per_homset", [
+    ("assumption3-coarse-graining", 2),  # hom(a, b), then hom(b, a) once
+    ("def3.3-c4", 1),
+])
+def test_sampled_homsets_are_drawn_once_per_probe_pair(check_id, draws_per_homset):
+    cpsu = CpsuTheory()
+    sample_hom = cpsu.sample_hom
+    draws = []
+
+    def counted(a, b, rng):
+        draws.append((a, b))
+        return sample_hom(a, b, rng)
+    cpsu.sample_hom = counted
+    cfg = ProbeConfig(bound=2, samples=8)
+    result = run_check(cpsu, cfg, check_id)
+    assert result.ok
+    pairs = len(cpsu.probe_objects(cfg.bound)) ** 2
+    assert len(draws) <= draws_per_homset * cfg.samples * pairs

@@ -1,11 +1,15 @@
-"""Semiring carriers, rational parsing and the complex-matrix helpers."""
+"""Semiring carriers, rational parsing, the semiring-matrix kernel and the
+complex-matrix helpers."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opcheck.errors import SemiringLawError
+from opcheck.errors import EventViolation, OpcheckError, SemiringLawError
+from opcheck.instances import SubStochTheory
 from opcheck.kernel import (
     BOOLEANS,
     BUILTIN_SEMIRINGS,
@@ -13,14 +17,19 @@ from opcheck.kernel import (
     NATURALS,
     RATIONALS01,
     FiniteSemiring,
+    check_event,
     choi_positivity,
     is_hermitian,
     matrix_approx_eq,
     min_eigenvalue,
     parse_rational,
+    rational_product,
     rational_str,
+    row_in_unit,
     semiring_complements,
+    semiring_product,
 )
+from opcheck.theory import Morphism
 
 
 def test_parse_rational_roundtrip():
@@ -86,3 +95,143 @@ def test_matrix_helpers():
     assert min_eigenvalue(eye) == pytest.approx(1.0)
     assert choi_positivity(eye)
     assert not choi_positivity(-eye)
+
+
+# -- the semiring-matrix kernel --------------------------------------------
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return ("ok", fn(*args))
+    except OpcheckError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _naive_product(semiring, f_rows, g_rows, width):
+    """The dense triple loop, every term included."""
+    s = semiring
+    rows = []
+    for frow in f_rows:
+        row = []
+        for k in range(width):
+            acc = s.zero
+            for j, x in enumerate(frow):
+                acc = s.add(acc, s.mul(x, g_rows[j][k]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def _substochastic(draw, n, m, grid):
+    """An n-by-m matrix on the 1/grid grid whose rows sum to at most one."""
+    rows = []
+    for _ in range(n):
+        budget = grid
+        row = []
+        for _ in range(m):
+            k = draw(st.integers(min_value=0, max_value=budget))
+            budget -= k
+            row.append(Fraction(k, grid))
+        rows.append(tuple(draw(st.permutations(row))))
+    return tuple(rows)
+
+
+@st.composite
+def _chains(draw):
+    """Substochastic matrices of matching shapes, each on its own grid."""
+    dims = draw(st.lists(st.integers(min_value=0, max_value=3),
+                         min_size=3, max_size=5))
+    grids = st.integers(min_value=2, max_value=6)
+    return [draw(_substochastic(a, b, draw(grids)))
+            for a, b in zip(dims, dims[1:])], dims
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chains())
+def test_rational_product_matches_the_fraction_reference(chain):
+    """Composites of composites, so the common denominators grow."""
+    mats, dims = chain
+    acc = mats[0]
+    for mat, width in zip(mats[1:], dims[2:]):
+        fast = rational_product(acc, mat, width)
+        assert fast == semiring_product(RATIONALS01, acc, mat, width)
+        assert repr(fast) == repr(_naive_product(RATIONALS01, acc, mat, width))
+        acc = fast
+
+
+_any_rational = st.fractions(min_value=-1, max_value=2, max_denominator=6)
+
+
+@st.composite
+def _rational_pairs(draw):
+    n, m, p = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    f = tuple(tuple(draw(_any_rational) for _ in range(m)) for _ in range(n))
+    g = tuple(tuple(draw(_any_rational) for _ in range(p)) for _ in range(m))
+    return f, g, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_pairs())
+def test_rational_product_rejects_like_the_fraction_reference(case):
+    """Entries outside [0, 1] and rows summing past one: the same
+    violation, found at the same place, from both paths."""
+    f, g, p = case
+    fast = _outcome(rational_product, f, g, p)
+    assert fast == _outcome(semiring_product, RATIONALS01, f, g, p)
+    if fast[0] == "raised":
+        assert fast[1] is EventViolation
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_pairs())
+def test_substoch_compose_keeps_the_validate_event_diagnostics(case):
+    """The theory's composite equals the old dense product run through
+    ``validate_event``: same payload, or same exception type and message."""
+    f, g, p = case
+    sub = SubStochTheory(grid=4)
+    fm = Morphism(sub, len(f), len(g), f)
+    gm = Morphism(sub, len(g), p, g)
+    dense = _naive_product(RATIONALS01, f, g, p)
+
+    def payload(thunk):
+        return thunk().payload
+    assert (_outcome(payload, lambda: sub.compose(gm, fm))
+            == _outcome(payload, lambda: sub.validate_event(dense, len(f), p)))
+
+
+@pytest.mark.parametrize("semiring,elements", [
+    (BOOLEANS, (0, 1)),
+    (INTEGERS, (-2, -1, 0, 1, 2)),
+    (NATURALS, (0, 1, 2)),
+])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_product_matches_the_dense_triple_loop(semiring, elements, data):
+    n, m, p = (data.draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    entry = st.sampled_from(elements)
+    f = tuple(tuple(data.draw(entry) for _ in range(m)) for _ in range(n))
+    g = tuple(tuple(data.draw(entry) for _ in range(p)) for _ in range(m))
+
+    def dense(*args):
+        rows = _naive_product(*args)
+        check_event(semiring, rows)
+        return rows
+    assert (_outcome(semiring_product, semiring, f, g, p)
+            == _outcome(dense, semiring, f, g, p))
+
+
+@given(st.fractions(min_value=0, max_value=3, max_denominator=12))
+def test_rational_unit_interval_test_matches_complements(a):
+    assert RATIONALS01.in_unit_interval(a) is bool(RATIONALS01.complements(a))
+
+
+def test_natural_unit_interval_test_matches_complements():
+    for a in NATURALS.grid_elements(5):
+        assert NATURALS.in_unit_interval(a) is bool(NATURALS.complements(a))
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6),
+                max_size=5))
+def test_rational_row_check_matches_the_fraction_sum(row):
+    assert row_in_unit(RATIONALS01, row) is (sum(row, Fraction(0)) <= 1)
