@@ -72,8 +72,8 @@ class TotalOf(TotalCategory):
                 f"{self.base.name}: composite of total events is not total")
         return h
 
-    def equal(self, f, g):
-        return self.base.equal(f, g)
+    def equal(self, f, g, tol=None):
+        return self.base.equal(f, g, tol)
 
     def payload_key(self, f):
         return self.base.payload_key(f)
@@ -172,9 +172,9 @@ class ParTheory(Theory):
         return self._wrap(a, unit, base.compose(
             base.coprojection((unit, unit), 0), base.discard(a)))
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
         return (f.dom == g.dom and f.cod == g.cod
-                and self.base.equal(f.payload, g.payload))
+                and self.base.equal(f.payload, g.payload, tol))
 
     def payload_key(self, f):
         return self.base.payload_key(f.payload)
@@ -408,13 +408,13 @@ class PlusTheory(Theory):
     def discard(self, a):
         return self._make(a, self.unit(), [[self.base.discard(x)] for x in a])
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
         if f.dom != g.dom or f.cod != g.cod:
             return False
         base = self.base
         for rf, rg in zip(self.rows(f), self.rows(g)):
             for ef, eg in zip(rf, rg):
-                if not base.equal(ef, eg):
+                if not base.equal(ef, eg, tol):
                     return False
         return True
 
@@ -658,6 +658,13 @@ class QuotientTheory(Theory):
     signatures, and every operation delegates to the base and re-canonicalizes
     the result.  In monoidal mode the probes range over ancilla-extended
     states and effects.
+
+    Each base event is signed once: signatures, and the effect rows they are
+    built from, are memoised under the event's exact key ``(dom, cod,
+    payload_key)``, and each probe homset is partitioned into classes once.
+    A base without exact keys (``payload_key`` raises ``NotEnumerable``) is
+    signed afresh on every call.  Memo entries are only ever results;
+    nothing is stored when a computation raises.
     """
 
     def __init__(self, base, bound=2, cap=20000, samples=64, seed=0,
@@ -673,6 +680,9 @@ class QuotientTheory(Theory):
         self.monoidal = False
         self.tol = base.tol
         self._probe_cache = {}
+        self._signatures = {}  # exact key of an event -> its signature
+        self._rows = {}        # exact key of probe . state -> effect outcomes
+        self._partitions = {}  # (a, b) -> (cap it was enumerated under, classes)
 
     # -- objects -----------------------------------------------------------
     def unit(self):
@@ -719,37 +729,81 @@ class QuotientTheory(Theory):
     def _skey(self, s):
         return probe_scalar_key(self.base, s)
 
+    def _exact_key(self, f):
+        """The memo key of a base event, or None when the base has none."""
+        try:
+            return (f.dom, f.cod, self.base.payload_key(f))
+        except NotEnumerable:
+            return None
+
+    def _memo(self, memo, f, compute):
+        key = self._exact_key(f)
+        if key is None:
+            return compute(f)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = compute(f)
+        return out
+
     def signature(self, f):
+        """The probe statistics of base event ``f`` (memoised)."""
+        return self._memo(self._signatures, f, self._sign)
+
+    def _sign(self, f):
         base = self.base
         unit = base.unit()
         out = []
         for c in self._ancillas():
             if c is None:
-                dom, cod, probe = f.dom, f.cod, f
+                dom, probe = f.dom, f
             else:
                 dom = base.tensor_obj(f.dom, c)
-                cod = base.tensor_obj(f.cod, c)
                 probe = base.tensor(f, base.identity(c))
             for omega in self._hom_probe(unit, dom, "state"):
-                mid = base.compose(probe, omega)
-                for e in self._hom_probe(cod, unit, "effect"):
-                    out.append(self._skey(base.compose(e, mid)))
+                out.extend(self._memo(self._rows, base.compose(probe, omega),
+                                      self._effect_row))
         return tuple(out)
+
+    def _effect_row(self, mid):
+        """The outcome of every effect probe after the intermediate ``mid``."""
+        base = self.base
+        return tuple(self._skey(base.compose(e, mid))
+                     for e in self._hom_probe(mid.cod, base.unit(), "effect"))
+
+    def _partition(self, a, b, cap):
+        """hom(a, b) grouped by signature, members in enumeration order.
+
+        The homset is enumerated and signed once.  As ``base.enumerate_hom(a,
+        b, cap)`` would, this raises ``BoundExceeded`` for a cap below the
+        homset size: a cap tighter than the one the partition was enumerated
+        under is put to the base again.
+        """
+        hit = self._partitions.get((a, b))
+        if hit is not None:
+            built, groups = hit
+            if cap is None or (built is not None and built <= cap):
+                return groups
+            self.base.enumerate_hom(a, b, cap)
+        else:
+            groups = {}
+            for h in self.base.enumerate_hom(a, b, cap):
+                groups.setdefault(self.signature(h), []).append(h)
+        self._partitions[(a, b)] = (cap, groups)
+        return groups
 
     # -- morphisms ---------------------------------------------------------
     def _wrap(self, f):
         return Morphism(self, f.dom, f.cod, self.canonical_representative(f))
 
     def canonical_representative(self, f):
+        """The first member of ``f``'s class, or ``f`` itself when its
+        homset is not enumerable or no class of it matches."""
         try:
-            homs = self.base.enumerate_hom(f.dom, f.cod, self.cap)
+            groups = self._partition(f.dom, f.cod, self.cap)
         except (NotEnumerable, BoundExceeded):
             return f
-        sig = self.signature(f)
-        for h in homs:
-            if self.signature(h) == sig:
-                return h
-        return f
+        members = groups.get(self.signature(f))
+        return members[0] if members else f
 
     def identity(self, a):
         return self._wrap(self.base.identity(a))
@@ -769,7 +823,7 @@ class QuotientTheory(Theory):
     def discard(self, a):
         return self._wrap(self.base.discard(a))
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
         if f.dom != g.dom or f.cod != g.cod:
             return False
         return self.signature(f.payload) == self.signature(g.payload)
@@ -795,14 +849,9 @@ class QuotientTheory(Theory):
         return out
 
     def enumerate_hom(self, a, b, cap=None):
-        out = []
-        sigs = set()
-        for h in self.base.enumerate_hom(a, b, cap):
-            sig = self.signature(h)
-            if sig not in sigs:
-                sigs.add(sig)
-                out.append(Morphism(self, a, b, h))
-        return out
+        """One representative per class: its first member."""
+        return [Morphism(self, a, b, members[0])
+                for members in self._partition(a, b, cap).values()]
 
     def sample_hom(self, a, b, rng):
         return self._wrap(self.base.sample_hom(a, b, rng))
@@ -813,18 +862,21 @@ class QuotientTheory(Theory):
     # -- reporting ---------------------------------------------------------
     def classes(self, a, b):
         """Probe homset partitioned into equivalence classes (signature order)."""
-        groups = {}
-        for h in self.base.enumerate_hom(a, b, self.cap):
-            groups.setdefault(self.signature(h), []).append(h)
-        return groups
+        return {sig: list(members)
+                for sig, members in self._partition(a, b, self.cap).items()}
 
     def class_counts(self, a, b):
         return sorted((len(v) for v in self.classes(a, b).values()), reverse=True)
 
     def is_separated(self, a, b):
-        """Representatives of distinct classes stay distinguishable by probes."""
+        """Representatives of distinct classes stay distinguishable by probes.
+
+        The representatives are signed again through the probe composites,
+        not read off the partition's keys, which would make this true by
+        construction.
+        """
         reps = [v[0] for v in self.classes(a, b).values()]
-        sigs = [self.signature(r) for r in reps]
+        sigs = [self._sign(r) for r in reps]
         return len(set(sigs)) == len(sigs)
 
 

@@ -139,14 +139,16 @@ class CpsuTheory(Theory):
         return self._m(a, (1,), [[np.eye(d, dtype=complex).reshape(1, d, 1, d)]
                                  for d in a])
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
         if f.dom != g.dom or f.cod != g.cod:
             return False
+        if tol is None:
+            tol = self.tol
         for row_f, row_g in zip(f.payload, g.payload):
             for bf, bg in zip(row_f, row_g):
                 if not kernel.matrix_approx_eq(
                         bf.reshape(bf.shape[0] * bf.shape[1], -1),
-                        bg.reshape(bg.shape[0] * bg.shape[1], -1), self.tol):
+                        bg.reshape(bg.shape[0] * bg.shape[1], -1), tol):
                     return False
         return True
 

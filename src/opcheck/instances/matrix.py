@@ -93,7 +93,7 @@ class MatrixTheory(Theory):
         s = self.semiring
         return self._m(a, 1, [[s.one]] * a)
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
         return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
 
     def payload_key(self, f):

@@ -89,7 +89,7 @@ class PFunTheory(Theory):
     def discard(self, a):
         return self._m(a, self.unit(), [(x, "*") for x in a])
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
         return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
 
     def payload_key(self, f):

@@ -128,7 +128,7 @@ class TableTheory(Theory):
         raise TheoryFileError(f"discard event {ev!r} not found",
                               f"hom({base_name},{self.unit_name})")
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
         return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
 
     def payload_key(self, f):

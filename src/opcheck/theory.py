@@ -112,7 +112,12 @@ class Theory:
     def discard(self, a):
         raise NotImplementedError
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
+        """Whether ``f`` and ``g`` are the same event.
+
+        A tolerance-based theory compares within ``tol``, or within its own
+        ``self.tol`` when ``tol`` is None; exact theories ignore ``tol``.
+        """
         raise NotImplementedError
 
     def payload_key(self, f):
@@ -232,7 +237,7 @@ class TotalCategory:
     def compose(self, g, f):
         raise NotImplementedError
 
-    def equal(self, f, g):
+    def equal(self, f, g, tol=None):
         raise NotImplementedError
 
     def enumerate_hom(self, a, b, cap=None):

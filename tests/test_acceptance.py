@@ -6,6 +6,7 @@ frozen from independent brute-force oracles.
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -263,3 +264,28 @@ def test_11_json_determinism():
             f"stderr (PYTHONHASHSEED=1):\n{second.stderr.decode(errors='replace')}")
         assert first.stdout and first.stdout == second.stdout, detail
         assert first.returncode == second.returncode, detail
+
+
+def test_12_quotient_classifies_separated():
+    t0 = time.monotonic()
+    report = classify(quotient(SubStochTheory(grid=2)), ProbeConfig(bound=2))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60.0, f"classification took {elapsed:.1f}s"
+    assert len(report.flags) == 7
+    assert all(v is True for v in report.flags.values()), report.flags
+    assert report.flags["separated"] is True
+
+
+def test_13_monoidal_quotient_summary():
+    grid = 2
+    theory = SubStochTheory(grid=grid)
+    t0 = time.monotonic()
+    q = quotient(theory, bound=2, monoidal=True)
+    probes = theory.probe_objects(2)
+    for a in probes:
+        for b in probes:
+            # substochastic grid rows into b outcomes: C(g + b, b) per input
+            assert q.class_counts(a, b) == [1] * math.comb(grid + b, b) ** a
+            assert q.is_separated(a, b)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 10.0, f"monoidal summary took {elapsed:.1f}s"

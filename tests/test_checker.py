@@ -9,6 +9,7 @@ from opcheck.checker import (
     CHECK_IDS,
     ProbeConfig,
     _relaxed_equal,
+    _Run,
     classify,
     run_check,
 )
@@ -128,6 +129,39 @@ def test_relaxed_equality_retry():
     assert cpsu.tol == 1e-9  # the retry must restore the tolerance
 
 
+class _TolSpy(CpsuTheory):
+    """Records the shared tolerance and the one passed, at every comparison."""
+
+    def __init__(self, fail_retry=False):
+        super().__init__(tol=1e-9)
+        self.fail_retry = fail_retry
+        self.seen = []
+
+    def equal(self, f, g, tol=None):
+        self.seen.append((self.tol, tol))
+        if tol is not None and self.fail_retry:
+            raise RuntimeError("retried comparison failed")
+        return super().equal(f, g, tol)
+
+
+@pytest.mark.parametrize("fail_retry", [False, True])
+def test_relaxed_retry_leaves_a_shared_theory_alone(fail_retry):
+    spy = _TolSpy(fail_retry)
+    i2 = spy.identity((2,))
+    pert = spy._m((2,), (2,), [[i2.payload[0][0] * (1 + 3e-9)]])
+    run = _Run(spy, CFG, "cat-identity")
+    if fail_retry:
+        with pytest.raises(RuntimeError):
+            run.check_eq(i2, pert, "f = g", {"f": i2, "g": pert})
+    else:
+        assert run.check_eq(i2, pert, "f = g", {"f": i2, "g": pert})
+        assert "relaxed-tolerance-used" in run.notes
+    assert spy.tol == 1e-9
+    # the retry passes the wider tolerance instead of writing it to the theory
+    assert [shared for shared, _ in spy.seen] == [1e-9, 1e-9]
+    assert spy.seen[1][1] == pytest.approx(1e-8)
+
+
 class _BrokenCompose(SubStochTheory):
     """Test double that corrupts composition to exercise failure reporting."""
 
@@ -169,3 +203,15 @@ def test_sampled_homsets_are_drawn_once_per_probe_pair(check_id, draws_per_homse
     assert result.ok
     pairs = len(cpsu.probe_objects(cfg.bound)) ** 2
     assert len(draws) <= draws_per_homset * cfg.samples * pairs
+
+
+def test_capped_reverse_homset_is_listed_once_per_fetch():
+    # hom(1, 2) has 6 events and fits the cap, hom(2, 1) has 9 and does not:
+    # it is skipped once as hom(b, a) of the pair (1, 2), however many pairs
+    # of hom(1, 2) pair, and once as hom(a, b) of the pair (2, 1)
+    result = run_check(SubStochTheory(grid=2), ProbeConfig(bound=2, cap=8),
+                       "assumption3-coarse-graining")
+    assert result.verdict == "holds-exhaustive"
+    listed = [(s["dom"], s["cod"]) for s in result.skipped]
+    assert listed.count(("2", "1")) == 2
+    assert listed.count(("2", "2")) == 1

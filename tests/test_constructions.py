@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +21,18 @@ from opcheck.constructions import (
     roundtrip_check,
     total_of,
 )
-from opcheck.errors import NotATheoryMorphism, NonTotalClosure
-from opcheck.instances import MatrixTheory, PFunTheory, SubStochTheory
+from opcheck.errors import (
+    BoundExceeded,
+    NotATheoryMorphism,
+    NonTotalClosure,
+    NotEnumerable,
+)
+from opcheck.instances import CpsuTheory, MatrixTheory, PFunTheory, SubStochTheory
 from opcheck.kernel import INTEGERS
+from opcheck.theoryfile import load_theory
 
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def ev(theory, dom, cod, rows):
@@ -128,6 +136,103 @@ def test_quotient_complement_passes_down():
     e = q._wrap(ev(sub, 1, 1, [["1/2"]]))
     (c,) = q.effect_complements(e)
     assert ops.coarse_grain(e, c).payload.payload == ((F(1),),)
+
+
+def _reference_signature(q, f):
+    """Probe statistics of ``f`` straight from base composes, no memo."""
+    base = q.base
+    unit = base.unit()
+    ancillas = [None]
+    if q.monoidal_probes:
+        ancillas += [c for c in base.probe_objects(q.ancilla_bound)
+                     if base.object_size(c) >= 1]
+    out = []
+    for c in ancillas:
+        if c is None:
+            dom, cod, probe = f.dom, f.cod, f
+        else:
+            dom = base.tensor_obj(f.dom, c)
+            cod = base.tensor_obj(f.cod, c)
+            probe = base.tensor(f, base.identity(c))
+        for omega in base.enumerate_hom(unit, dom):
+            mid = base.compose(probe, omega)
+            for e in base.enumerate_hom(cod, unit):
+                out.append(probe_scalar_key(base, base.compose(e, mid)))
+    return tuple(out)
+
+
+def _reference_classes(q, a, b):
+    groups = {}
+    for h in q.base.enumerate_hom(a, b):
+        groups.setdefault(_reference_signature(q, h), []).append(h)
+    return list(groups.values())
+
+
+@pytest.fixture(params=["substoch", "substoch-monoidal", "pfun", "stateless"])
+def memo_quotient(request):
+    if request.param == "pfun":
+        base = PFunTheory()
+    elif request.param == "stateless":
+        base = load_theory(FIXTURES / "stateless.theory")
+    else:
+        base = SubStochTheory(grid=2)
+    return quotient(base, bound=2, monoidal=request.param.endswith("monoidal"))
+
+
+def test_memoised_quotient_matches_unmemoised_reference(memo_quotient):
+    q = memo_quotient
+    probes = q.probe_objects(2)
+    for a in probes:
+        for b in probes:
+            expected = _reference_classes(q, a, b)
+            # representatives first, so later queries read a built partition
+            reps = q.enumerate_hom(a, b)
+            assert [r.payload for r in reps] == [m[0] for m in expected]
+            assert all(r.dom == a and r.cod == b for r in reps)
+            assert q.class_counts(a, b) == sorted(
+                (len(m) for m in expected), reverse=True)
+            assert q.is_separated(a, b)
+            for members in expected:
+                for h in members:
+                    assert q.signature(h) == _reference_signature(q, h)
+                    assert q.canonical_representative(h) == members[0]
+    assert q._signatures and q._rows and q._partitions
+
+
+def test_memoised_quotient_keeps_off_grid_events():
+    sub = SubStochTheory(grid=2)
+    q = quotient(sub, bound=2)
+    quarter = ev(sub, 1, 1, [["1/4"]])
+    assert q.canonical_representative(quarter) is quarter
+    assert q.signature(quarter) == _reference_signature(q, quarter)
+    half = ev(sub, 1, 1, [["1/2"]])
+    assert q.canonical_representative(half).payload == half.payload
+    assert not q.equal(q._wrap(quarter), q._wrap(half))
+
+
+@pytest.mark.parametrize("built_first", [False, True])
+def test_memoised_quotient_enumeration_respects_the_callers_cap(built_first):
+    q = quotient(SubStochTheory(grid=2), bound=2)
+    size = len(q.base.enumerate_hom(2, 2))
+    if built_first:
+        assert len(q.classes(2, 2)) == size
+    with pytest.raises(BoundExceeded):
+        q.enumerate_hom(2, 2, size - 1)
+    assert len(q.enumerate_hom(2, 2, size)) == size
+    with pytest.raises(BoundExceeded):
+        q.enumerate_hom(2, 2, size - 1)
+    assert len(q.enumerate_hom(2, 2)) == size
+
+
+def test_quotient_without_exact_keys_is_signed_afresh():
+    q = quotient(CpsuTheory(), bound=2, samples=3)
+    f = q.identity((2,))
+    assert q.equal(q.compose(f, f), f)
+    with pytest.raises(NotEnumerable):
+        q.enumerate_hom((2,), (2,))
+    first = q.signature(f.payload)
+    assert first and q.signature(f.payload) == first
+    assert not q._signatures and not q._rows and not q._partitions
 
 
 # -- round trip through the total part --------------------------------------
