@@ -9,6 +9,18 @@ instance count or witness.  ``quotient_*.json`` is the standard output of
 and ``classify_quotient_substoch_grid1.json`` is the JSON report of
 ``classify(quotient(SubStochTheory(grid=1)), ProbeConfig(bound=2, seed=7))``
 as ``opcheck classify --format json`` renders it.
+
+``classify_*.json`` were recorded before the checker's uniqueness and capped
+scans were folded into shared helpers.  ``classify_NAME.json`` is the
+standard output of
+
+    opcheck classify tests/fixtures/NAME.theory --format json --seed 7
+
+``classify_substoch_cap100.json`` is the same on ``substoch`` with
+``--cap 100``, which caps the pair and triple scans of several checks, and
+``classify_cpsu_sampled.json`` is the report of
+``classify(CpsuTheory(tol=1e-9), ProbeConfig(bound=2, samples=8, seed=7))``,
+which pins the order of the sampled draws.
 """
 
 import json
@@ -19,7 +31,7 @@ import pytest
 from opcheck import cli
 from opcheck.checker import ProbeConfig, classify
 from opcheck.constructions import quotient
-from opcheck.instances import SubStochTheory
+from opcheck.instances import CpsuTheory, SubStochTheory
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -33,10 +45,25 @@ def _quotient_cli(capsys, name, *extra):
     return capsys.readouterr().out
 
 
-def _classify_quotient(capsys):
-    report = classify(quotient(SubStochTheory(grid=1)),
-                      ProbeConfig(bound=2, seed=7))
+def _classify_cli(capsys, name, *extra):
+    cli.main(["classify", str(FIXTURES / f"{name}.theory"),
+              "--format", "json", "--seed", "7", *extra])
+    return capsys.readouterr().out
+
+
+def _report_json(theory, cfg):
+    report = classify(theory, cfg)
     return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def _classify_quotient(capsys):
+    return _report_json(quotient(SubStochTheory(grid=1)),
+                        ProbeConfig(bound=2, seed=7))
+
+
+def _classify_cpsu(capsys):
+    return _report_json(CpsuTheory(tol=1e-9),
+                        ProbeConfig(bound=2, samples=8, seed=7))
 
 
 GOLDENS = {
@@ -48,6 +75,14 @@ GOLDENS = {
     "quotient_pfun_monoidal.json":
         lambda c: _quotient_cli(c, "pfun", "--monoidal"),
     "classify_quotient_substoch_grid1.json": _classify_quotient,
+    "classify_mat_bool.json": lambda c: _classify_cli(c, "mat_bool"),
+    "classify_mat_int.json": lambda c: _classify_cli(c, "mat_int"),
+    "classify_pfun.json": lambda c: _classify_cli(c, "pfun"),
+    "classify_stateless.json": lambda c: _classify_cli(c, "stateless"),
+    "classify_substoch.json": lambda c: _classify_cli(c, "substoch"),
+    "classify_substoch_cap100.json":
+        lambda c: _classify_cli(c, "substoch", "--cap", "100"),
+    "classify_cpsu_sampled.json": _classify_cpsu,
 }
 
 
