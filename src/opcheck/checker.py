@@ -17,8 +17,10 @@ the relaxed comparison are recorded on the check.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 from . import ops
 from .constructions import direct_sum_verify, probe_scalar_key
@@ -31,7 +33,6 @@ from .errors import (
     NotAvailable,
     NotEnumerable,
     NotMonoidal,
-    OpcheckError,
 )
 
 DEFAULT_CAP = 20000
@@ -210,18 +211,25 @@ class _Run:
         self.skipped.append({"dom": self.theory.object_str(a),
                              "cod": self.theory.object_str(b), "reason": why})
 
-    def homs(self, a, b):
-        """Probe homset: a complete enumeration, a sample, or None (skipped)."""
-        th = self.theory
-        count = th.hom_count(a, b)
+    def _enumerate(self, a, b):
+        """The complete homset, or None when it is over the cap (skipped).
+
+        Raises NotEnumerable when the theory cannot enumerate it."""
+        count = self.theory.hom_count(a, b)
         if count is not None and count > self.cfg.cap:
             self.skip(a, b, f"homset size {count} over cap")
             return None
         try:
-            return th.enumerate_hom(a, b, self.cfg.cap)
+            return self.theory.enumerate_hom(a, b, self.cfg.cap)
         except BoundExceeded as exc:
             self.skip(a, b, str(exc))
             return None
+
+    def homs(self, a, b):
+        """Probe homset: a complete enumeration, a sample, or None (skipped)."""
+        th = self.theory
+        try:
+            return self._enumerate(a, b)
         except NotEnumerable:
             pass
         try:
@@ -244,28 +252,21 @@ class _Run:
         For non-enumerable theories these are produced as total extensions
         of sampled events (every such total arises this way)."""
         th = self.theory
-        lifted = th.coproduct((b, th.unit()))
-        count = th.hom_count(a, lifted)
-        if count is not None and count > self.cfg.cap:
-            self.skip(a, lifted, f"homset size {count} over cap")
-            return None, lifted
         try:
-            return ([f for f in th.enumerate_hom(a, lifted, self.cfg.cap)
-                     if ops.is_total(f)], lifted)
-        except BoundExceeded as exc:
-            self.skip(a, lifted, str(exc))
-            return None, lifted
+            hs = self._enumerate(a, th.coproduct((b, th.unit())))
         except NotEnumerable:
             pass
+        else:
+            return None if hs is None else [f for f in hs if ops.is_total(f)]
         out = []
         for _ in range(self.cfg.samples):
-            f = self.theory.sample_hom(a, b, self.rng)
+            f = th.sample_hom(a, b, self.rng)
             try:
                 out.append(ops.total_extension(f))
             except (NoComplement, NotAPartialTest, NonUniqueComplement):
                 continue
         self.sampled = True
-        return out, lifted
+        return out
 
     def key(self, f):
         try:
@@ -284,12 +285,9 @@ class _Run:
         self.instances += 1
         if self.eq(f, g):
             return True
-        if self.witness is None:
-            th = self.theory
-            self.witness = Witness(
-                equation, {k: repr(v) for k, v in parts.items()},
-                repr(f), repr(g),
-                replay=lambda: not _relaxed_equal(th, f, g)[0])
+        th = self.theory
+        self.fail(equation, parts, repr(f), repr(g),
+                  replay=lambda: not _relaxed_equal(th, f, g)[0])
         return False
 
     def fail(self, equation, parts, lhs, rhs, replay=None):
@@ -321,32 +319,36 @@ class _Run:
 # Individual checks.  Each mutates its run; the registry at the bottom maps
 # stable ids to (paper_ref, function, needs_monoidal).
 
-def _limited_pairs(run, items):
-    """All pairs, or a deterministic capped subset with a recorded note.
+def _capped_product(run, *pools):
+    """Every tuple with one item from each pool, or, when there are more
+    than the cap, a seeded draw of ``samples`` tuples with a recorded note.
 
-    Capping an enumerable pair scan does not demote the verdict to sampled;
-    the note marks the reduced coverage.
+    Capping an enumerable scan does not demote the verdict to sampled; the
+    note marks the reduced coverage.  The draws are made lazily, so they
+    interleave with any draws the caller's loop body makes.
     """
-    if items is None:
-        return
-    if len(items) ** 2 > run.cfg.cap:
+    if math.prod(len(p) for p in pools) > run.cfg.cap:
         run.notes.add("pair-scan-capped")
         for _ in range(run.cfg.samples):
-            yield (items[run.rng.randrange(len(items))],
-                   items[run.rng.randrange(len(items))])
+            yield tuple(p[run.rng.randrange(len(p))] for p in pools)
         return
-    for f in items:
-        for g in items:
-            yield f, g
+    yield from product(*pools)
 
 
-def _limited_product(run, fs, gs):
-    """All pairs from two homsets, capped the same way as :func:`_limited_pairs`."""
-    if len(fs) * len(gs) > run.cfg.cap:
-        run.notes.add("pair-scan-capped")
-        return [(fs[run.rng.randrange(len(fs))], gs[run.rng.randrange(len(gs))])
-                for _ in range(run.cfg.samples)]
-    return [(f, g) for f in fs for g in gs]
+def _first_clash(run, items, key, seen=None):
+    """Tick each item and file it under ``key(item)`` in ``seen``.
+
+    Returns ``(earlier, later)`` for the first two items that share a key
+    but are not equal, or None when items that share a key are all equal.
+    """
+    seen = {} if seen is None else seen
+    for item in items:
+        run.tick()
+        k = key(item)
+        if k in seen and not run.theory.equal(seen[k], item):
+            return seen[k], item
+        seen[k] = item
+    return None
 
 
 def check_cat_identity(run):
@@ -403,7 +405,7 @@ def check_coarse_graining(run):
                 continue
             # hom(b, a) is fetched once, at the first pair that pairs
             fetched = False
-            for f, g in _limited_pairs(run, hs):
+            for f, g in _capped_product(run, hs, hs):
                 if th.try_pairing([f, g]) is None:
                     continue
                 run.tick()
@@ -522,22 +524,16 @@ def check_cancellativity(run):
             pool = [effects[run.rng.randrange(len(effects))]
                     for _ in range(max(2, int(run.cfg.samples ** 0.5)))]
         for e3 in pool:
-            seen = {}
-            for e in pool:
-                if th.try_pairing([e, e3]) is None:
-                    continue
-                run.tick()
-                k = run.key(ops.coarse_grain(e, e3))
-                if k in seen:
-                    other = seen[k]
-                    if not th.equal(other, e):
-                        run.fail("e1 v e3 = e2 v e3 implies e1 = e2",
-                                 {"e1": other, "e2": e, "e3": e3},
-                                 repr(ops.coarse_grain(other, e3)),
-                                 repr(ops.coarse_grain(e, e3)))
-                        return
-                else:
-                    seen[k] = e
+            clash = _first_clash(
+                run, (e for e in pool if th.try_pairing([e, e3]) is not None),
+                lambda e: run.key(ops.coarse_grain(e, e3)))
+            if clash:
+                e1, e2 = clash
+                run.fail("e1 v e3 = e2 v e3 implies e1 = e2",
+                         {"e1": e1, "e2": e2, "e3": e3},
+                         repr(ops.coarse_grain(e1, e3)),
+                         repr(ops.coarse_grain(e2, e3)))
+                return
 
 
 def check_discard_tensor(run):
@@ -602,18 +598,15 @@ def check_c2_joint_monic(run):
             hs = run.homs(x, aa)
             if hs is None:
                 continue
-            seen = {}
-            for f in hs:
-                run.tick()
-                k = tuple(run.key(th.compose(p, f)) for p in projs)
-                if k in seen and not th.equal(seen[k], f):
-                    g = seen[k]
-                    run.fail("projections out of A + A are jointly monic",
-                             {"f": f, "g": g},
-                             repr(th.compose(projs[0], f)),
-                             repr(th.compose(projs[0], g)))
-                    return
-                seen[k] = f
+            clash = _first_clash(run, hs, lambda f: tuple(
+                run.key(th.compose(p, f)) for p in projs))
+            if clash:
+                g, f = clash
+                run.fail("projections out of A + A are jointly monic",
+                         {"f": f, "g": g},
+                         repr(th.compose(projs[0], f)),
+                         repr(th.compose(projs[0], g)))
+                return
 
 
 def check_c3_total_extension(run):
@@ -644,19 +637,16 @@ def check_c3_total_extension(run):
                                     "the extension restricts to the event",
                                     {"f": f}):
                     return
-            totals, lifted = run.totals_into_lift(a, b)
+            totals = run.totals_into_lift(a, b)
             if totals is None:
                 continue
-            seen = {}
-            for t in totals:
-                run.tick()
-                k = run.key(th.compose(proj, t))
-                if k in seen and not th.equal(seen[k], t):
-                    run.fail("the total extension is unique",
-                             {"event": th.compose(proj, t), "g1": seen[k], "g2": t},
-                             repr(seen[k]), repr(t))
-                    return
-                seen[k] = t
+            clash = _first_clash(run, totals, lambda t: run.key(th.compose(proj, t)))
+            if clash:
+                g1, g2 = clash
+                run.fail("the total extension is unique",
+                         {"event": th.compose(proj, g2), "g1": g1, "g2": g2},
+                         repr(g1), repr(g2))
+                return
 
 
 def check_c4_distributivity(run):
@@ -668,7 +658,7 @@ def check_c4_distributivity(run):
             hs = run.homs(a, b)
             if hs is None:
                 continue
-            for f, g in _limited_pairs(run, hs):
+            for f, g in _capped_product(run, hs, hs):
                 if th.try_pairing([f, g]) is None:
                     continue
                 h = hs[run.rng.randrange(len(hs))]
@@ -707,15 +697,13 @@ def check_lemma34_joint_monic(run):
             hs = run.homs(x, cop)
             if hs is None:
                 continue
-            seen = {}
-            for f in hs:
-                run.tick()
-                k = tuple(run.key(th.compose(p, f)) for p in projs)
-                if k in seen and not th.equal(seen[k], f):
-                    run.fail("ternary projections are jointly monic",
-                             {"f": f, "g": seen[k]}, repr(f), repr(seen[k]))
-                    return
-                seen[k] = f
+            clash = _first_clash(run, hs, lambda f: tuple(
+                run.key(th.compose(p, f)) for p in projs))
+            if clash:
+                g, f = clash
+                run.fail("ternary projections are jointly monic",
+                         {"f": f, "g": g}, repr(f), repr(g))
+                return
 
 
 def check_coproduct_universal(run):
@@ -731,7 +719,7 @@ def check_coproduct_universal(run):
                 gs = run.homs(b, c)
                 if fs is None or gs is None:
                     continue
-                for f, g in _limited_product(run, fs, gs):
+                for f, g in _capped_product(run, fs, gs):
                     run.tick()
                     h = th.cotuple((a, b), [f, g])
                     if not run.check_eq(th.compose(h, k1), f,
@@ -743,15 +731,13 @@ def check_coproduct_universal(run):
                 hs = run.homs(ab, c)
                 if hs is None:
                     continue
-                seen = {}
-                for h in hs:
-                    run.tick()
-                    k = (run.key(th.compose(h, k1)), run.key(th.compose(h, k2)))
-                    if k in seen and not th.equal(seen[k], h):
-                        run.fail("the cotupling is unique", {"h1": seen[k], "h2": h},
-                                 repr(seen[k]), repr(h))
-                        return
-                    seen[k] = h
+                clash = _first_clash(run, hs, lambda h: (
+                    run.key(th.compose(h, k1)), run.key(th.compose(h, k2))))
+                if clash:
+                    h1, h2 = clash
+                    run.fail("the cotupling is unique", {"h1": h1, "h2": h2},
+                             repr(h1), repr(h2))
+                    return
 
 
 def check_eq2_projections(run):
@@ -812,18 +798,16 @@ def check_def31_c1(run):
             k2 = th.compose(th.coprojection((a, unit), 1), th.identity(unit))
             maps.append(th.cotuple((aa, unit), [tri, k2]))
         for x in run.probes():
-            totals, _ = run.totals_into_lift(x, aa)
+            totals = run.totals_into_lift(x, aa)
             if totals is None:
                 continue
-            seen = {}
-            for f in totals:
-                run.tick()
-                k = tuple(run.key(th.compose(m, f)) for m in maps)
-                if k in seen and not th.equal(seen[k], f):
-                    run.fail("the lifted projections are jointly monic",
-                             {"f": f, "g": seen[k]}, repr(f), repr(seen[k]))
-                    return
-                seen[k] = f
+            clash = _first_clash(run, totals, lambda f: tuple(
+                run.key(th.compose(m, f)) for m in maps))
+            if clash:
+                g, f = clash
+                run.fail("the lifted projections are jointly monic",
+                         {"f": f, "g": g}, repr(f), repr(g))
+                return
 
 
 def check_def31_c2(run):
@@ -843,16 +827,14 @@ def check_def31_c2(run):
             if vs is None:
                 continue
             mediated = {}
-            for v in vs:
-                run.tick()
-                k = run.key(th.compose(k1a, v))
-                if k in mediated and not th.equal(mediated[k], v):
-                    run.fail("the mediating arrow is unique",
-                             {"v1": mediated[k], "v2": v},
-                             repr(mediated[k]), repr(v))
-                    return
-                mediated[k] = v
-            cones, _ = run.totals_into_lift(x, a)
+            clash = _first_clash(run, vs, lambda v: run.key(th.compose(k1a, v)),
+                                 mediated)
+            if clash:
+                v1, v2 = clash
+                run.fail("the mediating arrow is unique", {"v1": v1, "v2": v2},
+                         repr(v1), repr(v2))
+                return
+            cones = run.totals_into_lift(x, a)
             if cones is None:
                 continue
             top = th.compose(k1u, th.discard(x))
@@ -879,19 +861,18 @@ def check_lemma32(run):
                 gs = run.totals(x, b)
                 if fs is None or gs is None:
                     continue
-                seen = {}
-                for f in fs:
-                    run.tick()
-                    k = run.key(th.compose(k1, f))
-                    if k in seen and not th.equal(seen[k], f):
-                        run.fail("the first coprojection is monic",
-                                 {"f": f, "g": seen[k]}, repr(f), repr(seen[k]))
-                        return
-                    seen[k] = f
+                images = {}
+                clash = _first_clash(run, fs, lambda f: run.key(th.compose(k1, f)),
+                                     images)
+                if clash:
+                    g, f = clash
+                    run.fail("the first coprojection is monic",
+                             {"f": f, "g": g}, repr(f), repr(g))
+                    return
                 if th.object_size(x) >= 1:
                     for g in gs:
                         run.tick()
-                        if run.key(th.compose(k2, g)) in seen:
+                        if run.key(th.compose(k2, g)) in images:
                             run.fail("the coprojection images only meet over zero",
                                      {"g": g}, repr(th.compose(k2, g)), "disjoint")
                             return
@@ -914,7 +895,7 @@ def check_positivity(run):
                     run.fail("discard . f = 0 implies f = 0", {"f": f},
                              repr(th.compose(top, f)), repr(f))
                     return
-            for f, g in _limited_pairs(run, hs):
+            for f, g in _capped_product(run, hs, hs):
                 if th.try_pairing([f, g]) is None:
                     continue
                 run.tick()
@@ -939,7 +920,7 @@ def check_combining(run):
                 gs = run.homs(a, c)
                 if fs is None or gs is None:
                     continue
-                for f, g in _limited_product(run, fs, gs):
+                for f, g in _capped_product(run, fs, gs):
                     ef = th.compose(th.discard(b), f)
                     eg = th.compose(th.discard(c), g)
                     if th.try_pairing([ef, eg]) is None:
@@ -964,7 +945,7 @@ def check_observations(run):
                 gs = run.homs(a, c)
                 if fs is None or gs is None:
                     continue
-                for f, g in _limited_product(run, fs, gs):
+                for f, g in _capped_product(run, fs, gs):
                     run.tick()
                     ef = th.compose(th.discard(b), f)
                     eg = th.compose(th.discard(c), g)
@@ -994,7 +975,7 @@ def check_pcm_laws(run):
         if not run.check_eq(ops.coarse_grain(s, zero), s,
                             "s v 0 = s", {"s": s}):
             return
-    for s, t in _limited_pairs(run, scalars):
+    for s, t in _capped_product(run, scalars, scalars):
         if th.try_pairing([s, t]) is None:
             if th.try_pairing([t, s]) is not None:
                 run.fail("compatibility is symmetric", {"s": s, "t": t},
@@ -1005,15 +986,7 @@ def check_pcm_laws(run):
         if not run.check_eq(ops.coarse_grain(s, t), ops.coarse_grain(t, s),
                             "s v t = t v s", {"s": s, "t": t}):
             return
-    if len(scalars) ** 3 <= run.cfg.cap:
-        triples = [(s, t, u) for s in scalars for t in scalars for u in scalars]
-    else:
-        run.notes.add("pair-scan-capped")
-        triples = [(scalars[run.rng.randrange(len(scalars))],
-                    scalars[run.rng.randrange(len(scalars))],
-                    scalars[run.rng.randrange(len(scalars))])
-                   for _ in range(run.cfg.samples)]
-    for s, t, u in triples:
+    for s, t, u in _capped_product(run, scalars, scalars, scalars):
         if th.try_pairing([s, t, u]) is None:
             continue
         run.tick()
@@ -1091,16 +1064,14 @@ def check_separation(run):
             if len(hs) * len(states) * len(effects) > run.cfg.cap:
                 run.skip(a, b, "probe signature scan over cap")
                 continue
-            seen = {}
-            for f in hs:
-                run.tick()
-                sig = tuple(probe_scalar_key(th, th.compose(e, th.compose(f, w)))
-                            for w in states for e in effects)
-                if sig in seen and not th.equal(seen[sig], f):
-                    run.fail("probes separate parallel events",
-                             {"f": f, "g": seen[sig]}, repr(f), repr(seen[sig]))
-                    return
-                seen[sig] = f
+            clash = _first_clash(run, hs, lambda f: tuple(
+                probe_scalar_key(th, th.compose(e, th.compose(f, w)))
+                for w in states for e in effects))
+            if clash:
+                g, f = clash
+                run.fail("probes separate parallel events",
+                         {"f": f, "g": g}, repr(f), repr(g))
+                return
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,82 @@ from ..errors import (
 from ..theory import Morphism, Theory
 
 
-class MatrixTheory(Theory):
+class SemiringMatrices(Theory):
+    """The category of matrices over ``self.semiring``, whatever the objects.
+
+    An event between objects of sizes n and m is an n-by-m matrix: composition
+    is the matrix product, the coproduct stacks rows, and pairing sets
+    matrices side by side.  Subclasses supply the objects (``object_size``,
+    ``coproduct``, ``zero`` and ``object_str``) and ``_diagnostic``, which
+    turns a kernel ``EventViolation`` into their own error.
+    """
+
+    def _m(self, dom, cod, rows):
+        return Morphism(self, dom, cod, tuple(tuple(r) for r in rows))
+
+    def identity(self, a):
+        s = self.semiring
+        n = self.object_size(a)
+        return self._m(a, a, [[s.one if i == j else s.zero for j in range(n)]
+                              for i in range(n)])
+
+    def _compose(self, g, f):
+        try:
+            rows = kernel.matrix_product(self.semiring, f.payload, g.payload,
+                                         self.object_size(g.cod))
+        except EventViolation as bad:
+            raise self._diagnostic(bad) from None
+        return Morphism(self, f.dom, g.cod, rows)
+
+    def zero_morphism(self, a, b):
+        s = self.semiring
+        return self._m(a, b, [[s.zero] * self.object_size(b)
+                              for _ in range(self.object_size(a))])
+
+    def coprojection(self, summands, i):
+        s = self.semiring
+        total = self.object_size(self.coproduct(summands))
+        offset = self.object_size(self.coproduct(summands[:i]))
+        n = self.object_size(summands[i])
+        return self._m(summands[i], self.coproduct(summands),
+                       [[s.one if c == offset + r else s.zero
+                         for c in range(total)] for r in range(n)])
+
+    def cotuple(self, summands, fs):
+        rows = []
+        for f in fs:
+            rows.extend(f.payload)
+        return self._m(self.coproduct(summands), fs[0].cod if fs else self.zero(),
+                       rows)
+
+    def equal(self, f, g, tol=None):
+        return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
+
+    def payload_key(self, f):
+        return f.payload
+
+    def try_pairing(self, events):
+        rows = kernel.side_by_side(self.semiring, [f.payload for f in events])
+        if rows is None:
+            return None
+        return Morphism(self, events[0].dom,
+                        self.coproduct(tuple(f.cod for f in events)), rows)
+
+    def validate_event(self, payload, dom, cod):
+        rows = tuple(tuple(r) for r in payload)
+        n, m = self.object_size(dom), self.object_size(cod)
+        if len(rows) != n or any(len(r) != m for r in rows):
+            raise ValidationError(
+                f"{self.name}: payload shape does not match "
+                f"{self.object_str(dom)} -> {self.object_str(cod)}")
+        try:
+            kernel.check_event(self.semiring, rows)
+        except EventViolation as bad:
+            raise self._diagnostic(bad) from None
+        return Morphism(self, dom, cod, rows)
+
+
+class MatrixTheory(SemiringMatrices):
     monoidal = True
 
     def __init__(self, semiring, grid=2, name=None):
@@ -55,57 +130,11 @@ class MatrixTheory(Theory):
         return list(range(0, bound + 1))
 
     # -- morphisms --------------------------------------------------------
-    def _m(self, dom, cod, rows):
-        return Morphism(self, dom, cod, tuple(tuple(r) for r in rows))
-
-    def identity(self, a):
-        s = self.semiring
-        return self._m(a, a, [[s.one if i == j else s.zero for j in range(a)]
-                              for i in range(a)])
-
-    def _compose(self, g, f):
-        try:
-            rows = kernel.matrix_product(self.semiring, f.payload, g.payload, g.cod)
-        except EventViolation as bad:
-            raise self._diagnostic(bad) from None
-        return Morphism(self, f.dom, g.cod, rows)
-
-    def zero_morphism(self, a, b):
-        s = self.semiring
-        return self._m(a, b, [[s.zero] * b for _ in range(a)])
-
-    def coprojection(self, summands, i):
-        s = self.semiring
-        total = sum(summands)
-        offset = sum(summands[:i])
-        n = summands[i]
-        return self._m(n, total,
-                       [[s.one if c == offset + r else s.zero for c in range(total)]
-                        for r in range(n)])
-
-    def cotuple(self, summands, fs):
-        rows = []
-        for f in fs:
-            rows.extend(f.payload)
-        return self._m(sum(summands), fs[0].cod if fs else 0, rows)
-
     def discard(self, a):
         s = self.semiring
         return self._m(a, 1, [[s.one]] * a)
 
-    def equal(self, f, g, tol=None):
-        return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
-
-    def payload_key(self, f):
-        return f.payload
-
     # -- tests and merging -------------------------------------------------
-    def try_pairing(self, events):
-        rows = kernel.side_by_side(self.semiring, [f.payload for f in events])
-        if rows is None:
-            return None
-        return Morphism(self, events[0].dom, sum(f.cod for f in events), rows)
-
     def effect_complements(self, e):
         s = self.semiring
         per_entry = [s.complements(e.payload[i][0]) for i in range(e.dom)]
@@ -183,17 +212,6 @@ class MatrixTheory(Theory):
         return self.identity(a)
 
     # -- validation --------------------------------------------------------
-    def validate_event(self, payload, dom, cod):
-        rows = tuple(tuple(r) for r in payload)
-        if len(rows) != dom or any(len(r) != cod for r in rows):
-            raise ValidationError(
-                f"{self.name}: payload shape does not match {dom} -> {cod}")
-        try:
-            kernel.check_event(self.semiring, rows)
-        except EventViolation as bad:
-            raise self._diagnostic(bad) from None
-        return Morphism(self, dom, cod, rows)
-
     def _diagnostic(self, bad):
         if bad.kind == "row":
             return RowSumExceedsOne(

@@ -19,17 +19,11 @@ from __future__ import annotations
 from itertools import product
 
 from . import kernel
-from .errors import (
-    BoundExceeded,
-    EventViolation,
-    NotEnumerable,
-    TheoryFileError,
-    ValidationError,
-)
-from .theory import Morphism, Theory
+from .errors import BoundExceeded, NotEnumerable, TheoryFileError, ValidationError
+from .instances.matrix import SemiringMatrices
 
 
-class TableTheory(Theory):
+class TableTheory(SemiringMatrices):
     monoidal = False
 
     def __init__(self, name, semiring, sizes, unit_name, homs, discards,
@@ -46,7 +40,6 @@ class TableTheory(Theory):
         self.discards = dict(discards)
         self.tests = dict(tests or {})
         self.coarse_grain_table = list(coarse_grain_table or [])
-        self.tol = None
         self.validate_tables()
 
     # -- objects ----------------------------------------------------------
@@ -75,45 +68,7 @@ class TableTheory(Theory):
                     out.append((x, y))
         return out
 
-    # -- matrix plumbing ---------------------------------------------------
-    def _m(self, dom, cod, rows):
-        return Morphism(self, dom, cod, tuple(tuple(r) for r in rows))
-
-    def identity(self, a):
-        s = self.semiring
-        n = self.object_size(a)
-        return self._m(a, a, [[s.one if i == j else s.zero for j in range(n)]
-                              for i in range(n)])
-
-    def _compose(self, g, f):
-        try:
-            rows = kernel.matrix_product(self.semiring, f.payload, g.payload,
-                                         self.object_size(g.cod))
-        except EventViolation as bad:
-            raise self._diagnostic(bad) from None
-        return Morphism(self, f.dom, g.cod, rows)
-
-    def zero_morphism(self, a, b):
-        s = self.semiring
-        return self._m(a, b, [[s.zero] * self.object_size(b)
-                              for _ in range(self.object_size(a))])
-
-    def coprojection(self, summands, i):
-        s = self.semiring
-        total = self.object_size(self.coproduct(summands))
-        offset = self.object_size(self.coproduct(summands[:i]))
-        n = self.object_size(summands[i])
-        return self._m(summands[i], self.coproduct(summands),
-                       [[s.one if c == offset + r else s.zero
-                         for c in range(total)] for r in range(n)])
-
-    def cotuple(self, summands, fs):
-        rows = []
-        for f in fs:
-            rows.extend(f.payload)
-        cod = fs[0].cod if fs else ()
-        return self._m(self.coproduct(summands), cod, rows)
-
+    # -- morphisms --------------------------------------------------------
     def discard(self, a):
         rows = []
         for n in a:
@@ -127,20 +82,6 @@ class TableTheory(Theory):
                 return payload
         raise TheoryFileError(f"discard event {ev!r} not found",
                               f"hom({base_name},{self.unit_name})")
-
-    def equal(self, f, g, tol=None):
-        return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
-
-    def payload_key(self, f):
-        return f.payload
-
-    # -- tests and merging -------------------------------------------------
-    def try_pairing(self, events):
-        rows = kernel.side_by_side(self.semiring, [f.payload for f in events])
-        if rows is None:
-            return None
-        return Morphism(self, events[0].dom,
-                        self.coproduct(tuple(f.cod for f in events)), rows)
 
     # -- enumeration -------------------------------------------------------
     def _base_payloads(self, x, y):
@@ -187,19 +128,6 @@ class TableTheory(Theory):
         return all_homs[rng.randrange(len(all_homs))]
 
     # -- validation --------------------------------------------------------
-    def validate_event(self, payload, dom, cod):
-        rows = tuple(tuple(r) for r in payload)
-        n, m = self.object_size(dom), self.object_size(cod)
-        if len(rows) != n or any(len(r) != m for r in rows):
-            raise ValidationError(
-                f"{self.name}: payload shape does not match "
-                f"{self.object_str(dom)} -> {self.object_str(cod)}")
-        try:
-            kernel.check_event(self.semiring, rows)
-        except EventViolation as bad:
-            raise self._diagnostic(bad) from None
-        return Morphism(self, dom, cod, rows)
-
     def _diagnostic(self, bad):
         if bad.kind == "row":
             return ValidationError(
