@@ -3,12 +3,14 @@ derived lemmas against a theory on a bounded probe set, and classifies it.
 
 Every check item quantifies over probe objects of size up to the configured
 bound.  Homsets are enumerated completely when possible; homsets whose size
-passes the cap are skipped and recorded, and non-enumerable homsets are
-sampled with a per-check deterministic seed.  A verdict is "holds-exhaustive"
-only when no sampling was involved (the skipped list is part of the report),
-"holds-sampled(n)" when it rests on n sampled instances, "fails" with a
-replayable witness on the first counterexample in enumeration order, and
-"inconclusive" when the theory lacks the structure the check needs.
+passes the cap are skipped and recorded (once per check), and
+non-enumerable homsets are sampled with a per-check deterministic seed.  A
+verdict is "holds-exhaustive" only when no sampling was involved (the
+skipped list is part of the report), "holds-sampled(n)" when it rests on n
+sampled instances, "fails" with a replayable witness on the first
+counterexample in enumeration order, and "inconclusive" when the theory
+lacks the structure the check needs, or ("vacuous") when the check met no
+instance at all.
 
 For tolerance-based theories a failed comparison is retried at ten times the
 tolerance and only counts as a counterexample if it still fails; uses of
@@ -208,8 +210,10 @@ class _Run:
         return self.theory.probe_objects(self.cfg.bound)
 
     def skip(self, a, b, why):
-        self.skipped.append({"dom": self.theory.object_str(a),
-                             "cod": self.theory.object_str(b), "reason": why})
+        entry = {"dom": self.theory.object_str(a),
+                 "cod": self.theory.object_str(b), "reason": why}
+        if entry not in self.skipped:
+            self.skipped.append(entry)
 
     def _enumerate(self, a, b):
         """The complete homset, or None when it is over the cap (skipped).
@@ -300,6 +304,8 @@ class _Run:
         self.instances += n
 
     def result(self, paper_ref):
+        if self.witness is None and self.reason is None and not self.instances:
+            self.reason = "vacuous"
         if self.witness is not None:
             status = "fails"
         elif self.reason is not None:

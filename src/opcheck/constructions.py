@@ -43,6 +43,7 @@ class TotalOf(TotalCategory):
     def __init__(self, base):
         self.base = base
         self.name = f"total({base.name})"
+        self.tol = base.tol
 
     def terminal(self):
         return self.base.unit()
@@ -112,6 +113,7 @@ class ParTheory(Theory):
         self.total = total
         self.base = total.base
         self.name = f"par({total.name})"
+        self.tol = total.tol
 
     # -- objects -----------------------------------------------------------
     def unit(self):
@@ -315,6 +317,7 @@ class PlusTheory(Theory):
         self.base = base
         self.name = f"plus({base.name})"
         self.monoidal = base.monoidal
+        self.tol = base.tol
         self._row_cache = {}
 
     # -- objects -----------------------------------------------------------

@@ -13,7 +13,7 @@ from opcheck.checker import (
     classify,
     run_check,
 )
-from opcheck.constructions import quotient
+from opcheck.constructions import par, plus_completion, quotient, total_of
 from opcheck.instances import (
     CpsuTheory,
     MatrixTheory,
@@ -111,6 +111,17 @@ def test_numeric_theories_report_sampled_verdicts():
     assert result.verdict.startswith("holds-sampled(")
 
 
+def test_a_check_that_meets_no_instance_is_vacuous():
+    # every signature scan of cpsu is over the cap, so no probe homset is
+    # checked; that is no evidence of separation
+    report = classify(CpsuTheory(), ProbeConfig(bound=2, samples=20, cap=2000),
+                      only=["separation"])
+    result = report.result("separation")
+    assert result.verdict == "inconclusive(vacuous)"
+    assert result.instances == 0 and result.skipped
+    assert report.flags["separated"] == "inconclusive"
+
+
 def test_over_cap_homsets_are_skipped_not_sampled():
     result = run_check(SubStochTheory(grid=2),
                        ProbeConfig(bound=2, samples=10, cap=5), "cat-identity")
@@ -126,7 +137,20 @@ def test_relaxed_equality_retry():
     assert _relaxed_equal(cpsu, i2, i2) == (True, False)
     assert _relaxed_equal(cpsu, i2, pert) == (True, True)
     assert _relaxed_equal(cpsu, i2, far) == (False, False)
-    assert cpsu.tol == 1e-9  # the retry must restore the tolerance
+    assert cpsu.tol == 1e-9
+
+    # a construction takes cpsu's tolerance and passes the wider one down
+    def scaled(f, c):
+        return cpsu._m(f.dom, f.cod, [[b * c for b in row] for row in f.payload])
+
+    plus, partial = plus_completion(cpsu), par(total_of(cpsu))
+    kappa = partial.identity((2,)).payload
+    for theory, event in [
+            (plus, lambda c: plus.singleton(scaled(i2, c))),
+            (partial, lambda c: partial._wrap((2,), (2,), scaled(kappa, c)))]:
+        assert _relaxed_equal(theory, event(1), event(1)) == (True, False)
+        assert _relaxed_equal(theory, event(1), event(1 - 3e-9)) == (True, True)
+        assert _relaxed_equal(theory, event(1), event(0.5)) == (False, False)
 
 
 class _TolSpy(CpsuTheory):
@@ -207,11 +231,11 @@ def test_sampled_homsets_are_drawn_once_per_probe_pair(check_id, draws_per_homse
 
 def test_capped_reverse_homset_is_listed_once_per_fetch():
     # hom(1, 2) has 6 events and fits the cap, hom(2, 1) has 9 and does not:
-    # it is skipped once as hom(b, a) of the pair (1, 2), however many pairs
-    # of hom(1, 2) pair, and once as hom(a, b) of the pair (2, 1)
+    # it is fetched as hom(b, a) of the pair (1, 2), however many pairs of
+    # hom(1, 2) pair, and as hom(a, b) of the pair (2, 1), and listed once
     result = run_check(SubStochTheory(grid=2), ProbeConfig(bound=2, cap=8),
                        "assumption3-coarse-graining")
     assert result.verdict == "holds-exhaustive"
     listed = [(s["dom"], s["cod"]) for s in result.skipped]
-    assert listed.count(("2", "1")) == 2
+    assert listed.count(("2", "1")) == 1
     assert listed.count(("2", "2")) == 1

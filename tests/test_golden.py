@@ -17,7 +17,9 @@ standard output of
     opcheck classify tests/fixtures/NAME.theory --format json --seed 7
 
 ``classify_substoch_cap100.json`` is the same on ``substoch`` with
-``--cap 100``, which caps the pair and triple scans of several checks, and
+``--cap 100``, which caps the pair and triple scans of several checks (its
+``skipped`` lists were recorded again when each skipped homset came to be
+listed once per check, with nothing else changed), and
 ``classify_cpsu_sampled.json`` is the report of
 ``classify(CpsuTheory(tol=1e-9), ProbeConfig(bound=2, samples=8, seed=7))``,
 which pins the order of the sampled draws.
