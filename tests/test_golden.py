@@ -23,6 +23,13 @@ listed once per check, with nothing else changed), and
 ``classify_cpsu_sampled.json`` is the report of
 ``classify(CpsuTheory(tol=1e-9), ProbeConfig(bound=2, samples=8, seed=7))``,
 which pins the order of the sampled draws.
+
+``classify_plus_substoch_grid1.json`` and ``classify_plus_mat_bool.json``
+are the reports of ``classify(PlusTheory(T), ProbeConfig(bound=2, seed=7))``
+for ``T`` the substochastic matrices on grid 1 and the boolean matrices on
+grid 1; they were recorded before the direct-sum completion and cpsu were
+put on one block-matrix base.  The boolean one fails four checks, so its
+witnesses print morphisms of the completion.
 """
 
 import json
@@ -32,8 +39,9 @@ import pytest
 
 from opcheck import cli
 from opcheck.checker import ProbeConfig, classify
-from opcheck.constructions import quotient
-from opcheck.instances import CpsuTheory, SubStochTheory
+from opcheck.constructions import PlusTheory, quotient
+from opcheck.instances import CpsuTheory, MatrixTheory, SubStochTheory
+from opcheck.kernel import BOOLEANS
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -68,6 +76,11 @@ def _classify_cpsu(capsys):
                         ProbeConfig(bound=2, samples=8, seed=7))
 
 
+def _classify_plus(base):
+    return lambda capsys: _report_json(PlusTheory(base),
+                                       ProbeConfig(bound=2, seed=7))
+
+
 GOLDENS = {
     "quotient_stateless.json": lambda c: _quotient_cli(c, "stateless"),
     "quotient_pfun.json": lambda c: _quotient_cli(c, "pfun"),
@@ -85,6 +98,10 @@ GOLDENS = {
     "classify_substoch_cap100.json":
         lambda c: _classify_cli(c, "substoch", "--cap", "100"),
     "classify_cpsu_sampled.json": _classify_cpsu,
+    "classify_plus_substoch_grid1.json":
+        _classify_plus(SubStochTheory(grid=1)),
+    "classify_plus_mat_bool.json":
+        _classify_plus(MatrixTheory(BOOLEANS, grid=1)),
 }
 
 
