@@ -16,6 +16,7 @@ import random
 from itertools import product
 
 from . import ops
+from .blocks import BlockMatrices
 from .errors import (
     BoundExceeded,
     Incompatible,
@@ -181,6 +182,9 @@ class ParTheory(Theory):
     def payload_key(self, f):
         return self.base.payload_key(f.payload)
 
+    def rounded_key(self, f):
+        return self.base.rounded_key(f.payload)
+
     # -- tests and merging -------------------------------------------------
     def to_event(self, f):
         """The base event underlying a partial morphism (drop the + I branch)."""
@@ -304,17 +308,18 @@ def roundtrip_check(theory, bound=2, cap=None):
 # ---------------------------------------------------------------------------
 # Direct-sum completion
 
-class PlusTheory(Theory):
+class PlusTheory(BlockMatrices):
     """The free direct-sum completion of a base theory.
 
-    Objects are finite tuples of base objects; a morphism from X to Y is a
-    matrix of base events whose per-source-index families are partial tests.
-    The payload stores the matrix together with the per-family pairing
-    witnesses so composition never re-derives compatibility.
+    Objects are finite tuples of base objects.  A morphism from X to Y is a
+    block matrix (:mod:`opcheck.blocks`) of base events: entry (i, j) is an
+    event from ``X[i]`` to ``Y[j]``, one row per source summand and one
+    column per target summand, and each row is a partial test of the base.
+    The payload is the grid itself.
     """
 
     def __init__(self, base):
-        self.base = base
+        self.base = self.entries = base
         self.name = f"plus({base.name})"
         self.monoidal = base.monoidal
         self.tol = base.tol
@@ -324,17 +329,8 @@ class PlusTheory(Theory):
     def unit(self):
         return (self.base.unit(),)
 
-    def zero(self):
-        return ()
-
-    def coproduct(self, summands):
-        return tuple(x for s in summands for x in s)
-
     def object_str(self, a):
         return "<" + ", ".join(self.base.object_str(x) for x in a) + ">"
-
-    def object_size(self, a):
-        return sum(self.base.object_size(x) for x in a)
 
     def probe_objects(self, bound):
         comps = [o for o in self.base.probe_objects(bound)
@@ -352,102 +348,23 @@ class PlusTheory(Theory):
         return out
 
     # -- morphisms ---------------------------------------------------------
-    def _make(self, dom, cod, rows):
+    def _m(self, dom, cod, grid):
+        grid = tuple(tuple(row) for row in grid)
+        if cod:
+            for i, row in enumerate(grid):
+                if self.base.try_pairing(row) is None:
+                    raise NotAPartialTest(
+                        f"{self.name}: outcome family of source index {i} is not a partial test")
+        return Morphism(self, dom, cod, grid)
+
+    def _dot(self, x, z, row, col):
         base = self.base
-        rows = tuple(tuple(r) for r in rows)
-        witnesses = []
-        for i, row in enumerate(rows):
-            if not cod:
-                witnesses.append(None)
-                continue
-            w = base.try_pairing(list(row))
-            if w is None:
-                raise NotAPartialTest(
-                    f"{self.name}: outcome family of source index {i} is not a partial test")
-            witnesses.append(w)
-        return Morphism(self, dom, cod, (rows, tuple(witnesses)))
-
-    def rows(self, f):
-        return f.payload[0]
-
-    def identity(self, a):
-        base = self.base
-        rows = [[base.identity(x) if i == j else base.zero_morphism(x, y)
-                 for j, y in enumerate(a)] for i, x in enumerate(a)]
-        return self._make(a, a, rows)
-
-    def _compose(self, g, f):
-        base = self.base
-        frows, grows = self.rows(f), self.rows(g)
-        rows = []
-        for i, x in enumerate(f.dom):
-            row = []
-            for k, z in enumerate(g.cod):
-                parts = [base.compose(grows[j][k], frows[i][j])
-                         for j in range(len(f.cod))]
-                row.append(ops.coarse_grain_all(base, x, z, parts))
-            rows.append(row)
-        return self._make(f.dom, g.cod, rows)
-
-    def zero_morphism(self, a, b):
-        base = self.base
-        return self._make(a, b, [[base.zero_morphism(x, y) for y in b] for x in a])
-
-    def coprojection(self, summands, i):
-        base = self.base
-        total = self.coproduct(summands)
-        offset = sum(len(s) for s in summands[:i])
-        src = summands[i]
-        rows = [[base.identity(x) if j == offset + r else base.zero_morphism(x, y)
-                 for j, y in enumerate(total)] for r, x in enumerate(src)]
-        return self._make(src, total, rows)
-
-    def cotuple(self, summands, fs):
-        rows = []
-        for f in fs:
-            rows.extend(self.rows(f))
-        return self._make(self.coproduct(summands), fs[0].cod if fs else (), rows)
-
-    def discard(self, a):
-        return self._make(a, self.unit(), [[self.base.discard(x)] for x in a])
-
-    def equal(self, f, g, tol=None):
-        if f.dom != g.dom or f.cod != g.cod:
-            return False
-        base = self.base
-        for rf, rg in zip(self.rows(f), self.rows(g)):
-            for ef, eg in zip(rf, rg):
-                if not base.equal(ef, eg, tol):
-                    return False
-        return True
+        return ops.coarse_grain_all(base, x, z, [base.compose(g, f)
+                                                 for f, g in zip(row, col)])
 
     def payload_key(self, f):
-        base = self.base
-        return tuple(tuple(base.payload_key(e) for e in row)
-                     for row in self.rows(f))
-
-    # -- tests and merging -------------------------------------------------
-    def try_pairing(self, events):
-        rows = []
-        for i in range(len(events[0].dom)):
-            row = []
-            for f in events:
-                row.extend(self.rows(f)[i])
-            rows.append(row)
-        cod = self.coproduct(tuple(f.cod for f in events))
-        try:
-            return self._make(events[0].dom, cod, rows)
-        except NotAPartialTest:
-            return None
-
-    def effect_complements(self, e):
-        base = self.base
-        per_row = [base.effect_complements(self.rows(e)[i][0])
-                   for i in range(len(e.dom))]
-        if any(not c for c in per_row):
-            return []
-        return [self._make(e.dom, self.unit(), [[c] for c in combo])
-                for combo in product(*per_row)]
+        key = self.base.payload_key
+        return tuple(tuple(key(e) for e in row) for row in f.payload)
 
     # -- enumeration -------------------------------------------------------
     def _row_options(self, x, cod, cap):
@@ -472,7 +389,7 @@ class PlusTheory(Theory):
         if cap is not None and counts > cap:
             raise BoundExceeded(f"{self.name}: hom has {counts} elements", counts)
         options = [self._row_options(x, b, cap) for x in a]
-        return [self._make(a, b, combo) for combo in product(*options)]
+        return [self._m(a, b, combo) for combo in product(*options)]
 
     def sample_hom(self, a, b, rng):
         base = self.base
@@ -487,65 +404,12 @@ class PlusTheory(Theory):
             h = base.sample_hom(x, base.coproduct(b), rng)
             rows.append(tuple(base.compose(ops.projection(base, b, j), h)
                               for j in range(len(b))))
-        return self._make(a, b, rows)
-
-    # -- monoidal structure ------------------------------------------------
-    def tensor_obj(self, a, b):
-        base = self.base
-        return tuple(base.tensor_obj(x, y) for x in a for y in b)
-
-    def tensor(self, f, g):
-        base = self.base
-        frows, grows = self.rows(f), self.rows(g)
-        rows = []
-        for i1 in range(len(f.dom)):
-            for i2 in range(len(g.dom)):
-                row = []
-                for j1 in range(len(f.cod)):
-                    for j2 in range(len(g.cod)):
-                        row.append(base.tensor(frows[i1][j1], grows[i2][j2]))
-                rows.append(row)
-        return self._make(self.tensor_obj(f.dom, g.dom),
-                          self.tensor_obj(f.cod, g.cod), rows)
-
-    def _unitor(self, a, builder):
-        base = self.base
-        src = self.tensor_obj(a, self.unit())
-        rows = [[builder(x) if i == j else base.zero_morphism(src[i], a[j])
-                 for j in range(len(a))] for i, x in enumerate(a)]
-        return self._make(src, a, rows)
-
-    def unitor_right(self, a):
-        return self._unitor(a, self.base.unitor_right)
-
-    def unitor_left(self, a):
-        base = self.base
-        src = self.tensor_obj(self.unit(), a)
-        rows = [[base.unitor_left(a[j]) if i == j else base.zero_morphism(src[i], a[j])
-                 for j in range(len(a))] for i in range(len(src))]
-        return self._make(src, a, rows)
-
-    def unitor_right_inv(self, a):
-        base = self.base
-        cod = self.tensor_obj(a, self.unit())
-        rows = [[base.unitor_right_inv(x) if i == j else base.zero_morphism(x, cod[j])
-                 for j in range(len(cod))] for i, x in enumerate(a)]
-        return self._make(a, cod, rows)
-
-    def unitor_left_inv(self, a):
-        base = self.base
-        cod = self.tensor_obj(self.unit(), a)
-        rows = [[base.unitor_left_inv(x) if i == j else base.zero_morphism(x, cod[j])
-                 for j in range(len(cod))] for i, x in enumerate(a)]
-        return self._make(a, cod, rows)
+        return self._m(a, b, rows)
 
     # -- validation --------------------------------------------------------
     def validate_event(self, payload, dom, cod):
         base = self.base
-        rows = payload[0] if (isinstance(payload, tuple) and len(payload) == 2
-                              and payload and isinstance(payload[0], tuple)
-                              and (not payload[0] or isinstance(payload[0][0], tuple))) else payload
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(r) for r in payload)
         if len(rows) != len(dom):
             raise ValidationError(f"{self.name}: expected {len(dom)} rows")
         for i, (x, row) in enumerate(zip(dom, rows)):
@@ -555,11 +419,11 @@ class PlusTheory(Theory):
                 if e.theory is not base or e.dom != x or e.cod != y:
                     raise ValidationError(
                         f"{self.name}: entry ({i}) is not a base event of the right signature")
-        return self._make(dom, cod, rows)
+        return self._m(dom, cod, rows)
 
     def singleton(self, f):
         """Embed a base event as a one-by-one matrix (the unit of the completion)."""
-        return self._make((f.dom,), (f.cod,), ((f,),))
+        return self._m((f.dom,), (f.cod,), ((f,),))
 
 
 def plus_completion(theta):
@@ -640,18 +504,12 @@ def search_direct_sum(theory, summands, bound):
 # Quotient by operational indistinguishability
 
 def probe_scalar_key(theory, s):
-    """A hashable key for a scalar: exact payload key when available, a
-    rounded numeric fingerprint for tolerance-based theories."""
+    """A hashable key for a scalar: exact payload key when available, the
+    theory's rounded key for tolerance-based theories."""
     try:
         return theory.payload_key(s)
     except NotEnumerable:
-        import numpy as np
-        parts = [np.asarray(b, dtype=complex).ravel()
-                 for row in s.payload for b in row]
-        if not parts:
-            return ()
-        flat = np.concatenate(parts)
-        return tuple((round(z.real, 6), round(z.imag, 6)) for z in flat)
+        return theory.rounded_key(s)
 
 
 class QuotientTheory(Theory):
@@ -907,8 +765,7 @@ class ExtendedFunctor:
 
     def apply(self, m):
         tgt = self.target
-        src = self.source_plus
-        rows = src.rows(m)
+        rows = m.payload
         dom_summands = tuple(self.object_map(o) for o in m.dom)
         cod_summands = tuple(self.object_map(o) for o in m.cod)
         dom = tgt.coproduct(dom_summands)

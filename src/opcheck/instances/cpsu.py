@@ -2,11 +2,13 @@
 
 An object is a tuple of block dimensions, standing for the direct sum of
 full matrix algebras of those sizes; the trivial object is ``(1,)`` and the
-zero object the empty tuple.  An event from A (dims d) to B (dims e) is
-stored in the Heisenberg picture as a grid of blocks: block (i, j) is the
-representation of a completely positive map from the j-th block of B into
-the i-th block of A, kept as the 4-tensor ``C[k, a, l, b] = Phi(E_kl)[a, b]``
-over the matrix units ``E_kl``.  Sub-unitality says the images of the block
+zero object the empty tuple.  An event from A (dims d) to B (dims e) is a
+block matrix (:mod:`opcheck.blocks`): a grid with one row per block of A
+and one column per block of B.  It is stored in the Heisenberg picture:
+block (i, j) is the representation of a completely positive map from the
+j-th block of B into the i-th block of A, kept as the 4-tensor
+``C[k, a, l, b] = Phi(E_kl)[a, b]`` of shape ``(e_j, d_i, e_j, d_i)`` over
+the matrix units ``E_kl``.  Sub-unitality says the images of the block
 identities sum below the identity in every row.
 
 Comparisons are tolerance-based; positivity goes through the eigensolver on
@@ -15,17 +17,19 @@ the flattened block, so validity is decided up to the configured ``tol``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .. import kernel
+from ..blocks import BlockMatrices
 from ..errors import (
     ChoiNotPositive,
-    CompositionError,
     NotAvailable,
     NotSubUnital,
     ValidationError,
 )
-from ..theory import Morphism, Theory
+from ..theory import Morphism
 
 
 def _freeze(arr):
@@ -34,37 +38,78 @@ def _freeze(arr):
     return arr
 
 
-def _block_identity(e, d):
-    """The block of the identity event (requires e == d)."""
-    c = np.zeros((e, d, e, d), dtype=complex)
-    for k in range(e):
-        for l in range(e):
+@functools.cache
+def _eye(d):
+    """The d-by-d identity matrix, shared and so read-only."""
+    return _freeze(np.eye(d, dtype=complex))
+
+
+@functools.cache
+def _block_identity(d):
+    """The block of the identity map on the d-by-d matrices (shared)."""
+    c = np.zeros((d, d, d, d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
             c[k, k, l, l] = 1.0
-    return c
+    return _freeze(c)
 
 
-class CpsuTheory(Theory):
+class CpBlocks:
+    """Completely positive maps between single full matrix algebras: the
+    entries of cpsu's grids.  An object is a dimension; the map from ``d``
+    to ``e`` is an ``(e, d, e, d)`` 4-tensor, compared within ``tol``."""
+
+    def __init__(self, tol):
+        self.tol = tol
+
+    def object_size(self, d):
+        return d
+
+    def tensor_obj(self, d, e):
+        return d * e
+
+    def identity(self, d):
+        return _block_identity(d)
+
+    unitor_left = unitor_right = unitor_right_inv = identity
+
+    def zero_morphism(self, d, e):
+        return np.zeros((e, d, e, d), dtype=complex)
+
+    def discard(self, d):
+        return _eye(d).reshape(1, d, 1, d)
+
+    def equal(self, c1, c2, tol=None):
+        return kernel.matrix_approx_eq(c1, c2, self.tol if tol is None else tol)
+
+    def rounded_key(self, c):
+        return tuple((round(z.real, 6), round(z.imag, 6)) for z in c.ravel())
+
+    def effect_complements(self, c):
+        d = c.shape[1]
+        img = np.einsum("kakb->ab", c)
+        return [(_eye(d) - img).reshape(1, d, 1, d)]
+
+    def tensor(self, c1, c2):
+        e = c1.shape[0] * c2.shape[0]
+        d = c1.shape[1] * c2.shape[1]
+        return np.einsum("kalb,KALB->kKaAlLbB", c1, c2).reshape(e, d, e, d)
+
+
+class CpsuTheory(BlockMatrices):
     name = "cpsu"
     monoidal = True
 
     def __init__(self, tol=kernel.DEFAULT_TOL):
         self.tol = tol
+        self.entries = CpBlocks(tol)
 
     # -- objects ----------------------------------------------------------
     def unit(self):
         return (1,)
 
-    def zero(self):
-        return ()
-
-    def coproduct(self, summands):
-        return tuple(d for a in summands for d in a)
-
     def object_str(self, a):
         return "(" + ",".join(str(d) for d in a) + ")"
-
-    def object_size(self, a):
-        return sum(a)
 
     def probe_objects(self, bound):
         out = [()]
@@ -81,108 +126,32 @@ class CpsuTheory(Theory):
 
     # -- morphisms --------------------------------------------------------
     def _m(self, dom, cod, blocks):
-        frozen = tuple(tuple(_freeze(b) for b in row) for row in blocks)
+        frozen = tuple(tuple(map(_freeze, row)) for row in blocks)
         return Morphism(self, dom, cod, frozen)
 
-    def identity(self, a):
-        n = len(a)
-        blocks = [[_block_identity(a[j], a[i]) if i == j
-                   else np.zeros((a[j], a[i], a[j], a[i]), dtype=complex)
-                   for j in range(n)] for i in range(n)]
-        return self._m(a, a, blocks)
-
-    def _compose(self, g, f):
-        # block (i, k) of the composite pulls an effect on g.cod back
-        # through g, then through f
-        blocks = []
-        for i in range(len(f.dom)):
-            row = []
-            for k in range(len(g.cod)):
-                acc = np.zeros((g.cod[k], f.dom[i], g.cod[k], f.dom[i]),
-                               dtype=complex)
-                for j in range(len(f.cod)):
-                    acc += np.einsum("pkql,kalb->paqb",
-                                     g.payload[j][k], f.payload[i][j])
-                row.append(acc)
-            blocks.append(row)
-        return self._m(f.dom, g.cod, blocks)
-
-    def zero_morphism(self, a, b):
-        return self._m(a, b, [[np.zeros((e, d, e, d), dtype=complex)
-                               for e in b] for d in a])
-
-    def coprojection(self, summands, i):
-        total = self.coproduct(summands)
-        offset = sum(len(s) for s in summands[:i])
-        src = summands[i]
-        blocks = []
-        for r, d in enumerate(src):
-            row = []
-            for j, e in enumerate(total):
-                if j == offset + r:
-                    row.append(_block_identity(e, d))
-                else:
-                    row.append(np.zeros((e, d, e, d), dtype=complex))
-            blocks.append(row)
-        return self._m(src, total, blocks)
-
-    def cotuple(self, summands, fs):
-        if not fs:
-            return self._m((), (), [])
-        cod = fs[0].cod
-        blocks = []
-        for f in fs:
-            blocks.extend(f.payload)
-        return self._m(self.coproduct(summands), cod, blocks)
-
-    def discard(self, a):
-        return self._m(a, (1,), [[np.eye(d, dtype=complex).reshape(1, d, 1, d)]
-                                 for d in a])
-
-    def equal(self, f, g, tol=None):
-        if f.dom != g.dom or f.cod != g.cod:
-            return False
-        if tol is None:
-            tol = self.tol
-        for row_f, row_g in zip(f.payload, g.payload):
-            for bf, bg in zip(row_f, row_g):
-                if not kernel.matrix_approx_eq(
-                        bf.reshape(bf.shape[0] * bf.shape[1], -1),
-                        bg.reshape(bg.shape[0] * bg.shape[1], -1), tol):
-                    return False
-        return True
+    def _dot(self, x, z, row, col):
+        # pull an effect on block z back through col[j], then through row[j]
+        acc = np.zeros((z, x, z, x), dtype=complex)
+        for f, g in zip(row, col):
+            acc += np.einsum("pkql,kalb->paqb", g, f)
+        return acc
 
     # -- tests and merging -------------------------------------------------
-    def _unital_images(self, f):
-        """Per-domain-block sum of the images of the codomain identities."""
-        out = []
-        for i, d in enumerate(f.dom):
-            acc = np.zeros((d, d), dtype=complex)
-            for j in range(len(f.cod)):
-                acc += np.einsum("kakb->ab", f.payload[i][j])
-            out.append(acc)
-        return out
+    def _first_excess(self, f):
+        """``(i, defect)`` for the first row ``i`` whose unital images do not
+        sum below the identity, or None when every row is sub-unital."""
+        for i, (d, row) in enumerate(zip(f.dom, f.payload)):
+            img = np.zeros((d, d), dtype=complex)
+            for c in row:
+                img += np.einsum("kakb->ab", c)
+            defect = _eye(d) - img
+            if not kernel.choi_positivity(defect, self.tol):
+                return i, defect
+        return None
 
     def try_pairing(self, events):
-        events = tuple(events)
-        dom = events[0].dom
-        blocks = [[] for _ in dom]
-        for f in events:
-            for i, row in enumerate(f.payload):
-                blocks[i].extend(row)
-        paired = self._m(dom, self.coproduct(tuple(f.cod for f in events)), blocks)
-        for i, img in enumerate(self._unital_images(paired)):
-            defect = np.eye(dom[i], dtype=complex) - img
-            if not kernel.choi_positivity(defect, self.tol):
-                return None
-        return paired
-
-    def effect_complements(self, e):
-        blocks = []
-        for i, d in enumerate(e.dom):
-            img = np.einsum("kakb->ab", e.payload[i][0])
-            blocks.append([(np.eye(d, dtype=complex) - img).reshape(1, d, 1, d)])
-        return [self._m(e.dom, (1,), blocks)]
+        paired = super().try_pairing(events)
+        return None if self._first_excess(paired) else paired
 
     # -- sampling ----------------------------------------------------------
     def sample_hom(self, a, b, rng):
@@ -206,38 +175,6 @@ class CpsuTheory(Theory):
             scale = np_rng.uniform(0.1, 1.0) / max(-top, 1e-12)
             blocks[i] = [c * scale for c in blocks[i]]
         return self._m(a, b, blocks)
-
-    # -- monoidal structure ------------------------------------------------
-    def tensor_obj(self, a, b):
-        return tuple(d * e for d in a for e in b)
-
-    def tensor(self, f, g):
-        blocks = []
-        for i1 in range(len(f.dom)):
-            for i2 in range(len(g.dom)):
-                row = []
-                for j1 in range(len(f.cod)):
-                    for j2 in range(len(g.cod)):
-                        c = np.einsum("kalb,KALB->kKaAlLbB",
-                                      f.payload[i1][j1], g.payload[i2][j2])
-                        e = f.cod[j1] * g.cod[j2]
-                        d = f.dom[i1] * g.dom[i2]
-                        row.append(c.reshape(e, d, e, d))
-                blocks.append(row)
-        return self._m(self.tensor_obj(f.dom, g.dom),
-                       self.tensor_obj(f.cod, g.cod), blocks)
-
-    def unitor_right(self, a):
-        return self.identity(a)
-
-    def unitor_left(self, a):
-        return self.identity(a)
-
-    def unitor_right_inv(self, a):
-        return self.identity(a)
-
-    def unitor_left_inv(self, a):
-        return self.identity(a)
 
     # -- validation --------------------------------------------------------
     def validate_event(self, payload, dom, cod):
@@ -264,12 +201,12 @@ class CpsuTheory(Theory):
                 checked.append(c)
             blocks.append(checked)
         m = self._m(dom, cod, blocks)
-        for i, img in enumerate(self._unital_images(m)):
-            defect = np.eye(dom[i], dtype=complex) - img
-            if not kernel.choi_positivity(defect, self.tol):
-                raise NotSubUnital(
-                    f"cpsu: block row {i} exceeds the identity "
-                    f"(min defect eigenvalue {kernel.min_eigenvalue((defect + defect.conj().T) / 2):.3e})")
+        excess = self._first_excess(m)
+        if excess:
+            i, defect = excess
+            raise NotSubUnital(
+                f"cpsu: block row {i} exceeds the identity "
+                f"(min defect eigenvalue {kernel.min_eigenvalue((defect + defect.conj().T) / 2):.3e})")
         return m
 
 
@@ -317,7 +254,7 @@ class FinHilbTheory(CpsuTheory):
             same = candidate == summands[0]
             return same, ("the summand itself" if same else "dimension mismatch")
         n = candidate[0]
-        flat = _block_identity(n, n).reshape(n * n, n * n)
+        flat = _block_identity(n).reshape(n * n, n * n)
         eigs = np.linalg.eigvalsh(flat)
         rank = int(np.sum(eigs > self.tol))
         if rank != 1:

@@ -208,9 +208,6 @@ class MatrixTheory(SemiringMatrices):
     def unitor_right_inv(self, a):
         return self.identity(a)
 
-    def unitor_left_inv(self, a):
-        return self.identity(a)
-
     # -- validation --------------------------------------------------------
     def _diagnostic(self, bad):
         if bad.kind == "row":

@@ -163,10 +163,6 @@ class PFunTheory(Theory):
         return self._m(a, self.tensor_obj(a, self.unit()),
                        [(x, (x, "*")) for x in a])
 
-    def unitor_left_inv(self, a):
-        return self._m(a, self.tensor_obj(self.unit(), a),
-                       [(x, ("*", x)) for x in a])
-
     # -- validation --------------------------------------------------------
     def validate_event(self, payload, dom, cod):
         pairs = tuple(payload)

@@ -413,7 +413,7 @@ def matrix_approx_eq(m, n, tol=DEFAULT_TOL):
         return False
     if m.size == 0:
         return True
-    return bool(np.max(np.abs(m - n)) <= tol)
+    return bool(np.abs(m - n).max() <= tol)
 
 
 def is_hermitian(m, tol=DEFAULT_TOL):

@@ -127,6 +127,13 @@ class Theory:
         """
         raise NotEnumerable(f"{self.name}: payloads have no exact key")
 
+    def rounded_key(self, f):
+        """A hashable key for any payload: the exact key where there is one,
+        else a rounded fingerprint that events equal within the tolerance
+        share, barring values that round apart.
+        """
+        return self.payload_key(f)
+
     def morphism_key(self, f):
         return (f.dom, f.cod, self.payload_key(f))
 
@@ -188,9 +195,6 @@ class Theory:
         raise NotMonoidal(f"{self.name} has no tensor")
 
     def unitor_right_inv(self, a):
-        raise NotMonoidal(f"{self.name} has no tensor")
-
-    def unitor_left_inv(self, a):
         raise NotMonoidal(f"{self.name} has no tensor")
 
     # -- validation --------------------------------------------------------

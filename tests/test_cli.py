@@ -50,6 +50,19 @@ def test_classify_axiom_subset(capsys):
     assert [c["id"] for c in doc["checks"]] == ["cat-identity", "cat-assoc"]
 
 
+def test_classify_completion_of_cpsu_exits_zero(capsys, tmp_path):
+    doc = {"format": "optheory/1", "kind": "plus",
+           "base": {"format": "optheory/1", "kind": "builtin", "name": "cpsu"}}
+    path = tmp_path / "plus_cpsu.theory"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path), "--bound", "1",
+                         "--axiom", "lemma2.3-iii", "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["checks"][0]["verdict"].startswith("holds-sampled(")
+
+
 def test_unknown_axiom_id_exits_two(capsys):
     code, _, err = run(capsys, "classify", str(FIXTURES / "pfun.theory"),
                        "--axiom", "not-a-check")

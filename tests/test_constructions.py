@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from opcheck import ops
+from opcheck.checker import ProbeConfig, classify
 from opcheck.constructions import (
     ExtendedFunctor,
     ParTheory,
@@ -109,6 +110,39 @@ def test_plus_zero_object_homs():
     plus = plus_completion(sub)
     assert len(plus.enumerate_hom((), (1,))) == 1
     assert len(plus.enumerate_hom((1,), ())) == 1
+
+
+def test_completion_of_cpsu_classifies():
+    # a tolerance-based base has no exact payload keys, so the checker keys
+    # completed events by the base's rounded block keys
+    report = classify(PlusTheory(CpsuTheory()),
+                      ProbeConfig(bound=1, samples=6, seed=7))
+    assert not report.any_failures
+    assert len(report.flags) == 7
+    assert all(v is True for v in report.flags.values()), report.flags
+
+
+@pytest.mark.parametrize("check_id", ["lemma2.3-iii", "separation"])
+@pytest.mark.parametrize("build", [PlusTheory, lambda t: par(total_of(t))],
+                         ids=["plus", "par"])
+def test_keyed_checks_run_over_cpsu_constructions(build, check_id):
+    report = classify(build(CpsuTheory()),
+                      ProbeConfig(bound=1, samples=6, seed=7), only=[check_id])
+    result = report.result(check_id)
+    assert result.verdict.startswith("holds-sampled("), result.verdict
+    assert result.instances > 0
+
+
+def test_rounded_key_nests_through_the_constructions():
+    cpsu = CpsuTheory()
+    f = cpsu.identity((1, 2))
+    plus, partial = PlusTheory(cpsu), par(total_of(cpsu))
+    lifted = partial.identity((1, 2))
+    with pytest.raises(NotEnumerable):
+        plus.payload_key(plus.singleton(f))
+    assert plus.rounded_key(plus.singleton(f)) == ((cpsu.rounded_key(f),),)
+    assert partial.rounded_key(lifted) == cpsu.rounded_key(lifted.payload)
+    assert probe_scalar_key(cpsu, f) == cpsu.rounded_key(f)
 
 
 # -- quotient --------------------------------------------------------------
@@ -238,21 +272,26 @@ def test_quotient_without_exact_keys_is_signed_afresh():
 # -- round trip through the total part --------------------------------------
 
 def test_partial_form_survives_the_par_construction():
-    from opcheck.checker import ProbeConfig, check_partial_form, check_total_form
-
+    partial_form = ["def3.3-c1", "def3.3-c2", "def3.3-c3", "def3.3-c4",
+                    "def3.3-c5"]
+    total_form = ["def3.1-c1", "def3.1-c2", "lemma3.2"]
     cfg = ProbeConfig(bound=2, samples=20)
     sub = SubStochTheory(grid=2)
-    assert all(r.verdict == "holds-exhaustive"
-               for r in check_total_form(sub, cfg))
+    report = classify(sub, cfg, only=total_form)
+    assert len(report.results) == 3
+    assert all(r.verdict == "holds-exhaustive" for r in report.results)
     p = par(total_of(sub))
-    verdicts = {r.id: r.verdict for r in check_partial_form(p, cfg)}
+    report = classify(p, cfg, only=partial_form)
+    verdicts = {r.id: r.verdict for r in report.results}
+    assert len(verdicts) == 5
     for cid in ("def3.3-c1", "def3.3-c2", "def3.3-c3"):
         assert verdicts[cid] == "holds-exhaustive"
     # Par of a total category carries no tensor, so the monoidal conditions
     # are reported as out of scope rather than silently passed
     assert verdicts["def3.3-c4"] == "inconclusive(not-monoidal)"
-    assert all(r.verdict == "holds-exhaustive"
-               for r in check_total_form(p, cfg))
+    report = classify(p, cfg, only=total_form)
+    assert len(report.results) == 3
+    assert all(r.verdict == "holds-exhaustive" for r in report.results)
 
 
 # -- extension functor -----------------------------------------------------
