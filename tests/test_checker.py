@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from opcheck import checker
 from opcheck.checker import (
     CHECK_IDS,
     ProbeConfig,
@@ -120,6 +121,27 @@ def test_a_check_that_meets_no_instance_is_vacuous():
     assert result.verdict == "inconclusive(vacuous)"
     assert result.instances == 0 and result.skipped
     assert report.flags["separated"] == "inconclusive"
+
+
+def test_discard_tensor_law_runs_once_for_both_ids(monkeypatch):
+    ran = []
+    real = checker.run_check
+
+    def spy(theory, cfg, check_id):
+        ran.append(check_id)
+        return real(theory, cfg, check_id)
+    monkeypatch.setattr(checker, "run_check", spy)
+    report = classify(PFunTheory(), CFG, only=["lemma2.3-iv", "def3.3-c5"])
+    assert ran == ["lemma2.3-iv"]
+    iv, c5 = report.result("lemma2.3-iv"), report.result("def3.3-c5")
+    assert (iv.paper_ref, c5.paper_ref) == ("Lemma 2.3 iv", "Def. 3.3 condition 5")
+    assert iv.verdict == c5.verdict == "holds-exhaustive"
+    assert iv.instances == c5.instances > 0
+    # asked for on its own, Def. 3.3 condition 5 still runs the check
+    ran.clear()
+    report = classify(PFunTheory(), CFG, only=["def3.3-c5"])
+    assert ran == ["def3.3-c5"]
+    assert report.result("def3.3-c5").instances == iv.instances
 
 
 def test_over_cap_homsets_are_skipped_not_sampled():
