@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import ops
-from .constructions import direct_sum_verify, probe_scalar_key
+from .constructions import direct_sum_verify
 from .errors import (
     BoundExceeded,
     Incompatible,
@@ -274,10 +274,35 @@ class _Run:
         return out
 
     def key(self, f):
-        try:
-            return self.theory.morphism_key(f)
-        except NotEnumerable:
-            return (f.dom, f.cod, self.theory.rounded_key(f))
+        """A hashable key of ``f``: events equal within the tolerance share
+        it, barring values that round apart."""
+        return (f.dom, f.cod, self.theory.rounded_key(f))
+
+    def squares(self, objs=None):
+        """Every ordered pair of probe objects, or of ``objs``."""
+        objs = self.probes() if objs is None else objs
+        return product(objs, objs)
+
+    def homsets(self, pairs, fetch=None):
+        """``(a, b, hs)`` for each pair whose homset ``fetch(a, b)``
+        (:meth:`homs` by default) was not skipped.  A homset is fetched
+        only when the loop reaches its pair."""
+        fetch = fetch or self.homs
+        for a, b in pairs:
+            hs = fetch(a, b)
+            if hs is not None:
+                yield a, b, hs
+
+    def pick(self, pool):
+        """One seeded draw from ``pool``."""
+        return pool[self.rng.randrange(len(pool))]
+
+    def pairing_pairs(self, hs):
+        """The capped pairs ``(f, g)`` of ``hs`` that satisfy the premise
+        "f and g pair"."""
+        pairing = self.theory.try_pairing
+        return ((f, g) for f, g in _capped_product(self, hs, hs)
+                if pairing([f, g]) is not None)
 
     # -- assertions --------------------------------------------------------
     def eq(self, f, g):
@@ -337,9 +362,15 @@ def _capped_product(run, *pools):
     if math.prod(len(p) for p in pools) > run.cfg.cap:
         run.notes.add("pair-scan-capped")
         for _ in range(run.cfg.samples):
-            yield tuple(p[run.rng.randrange(len(p))] for p in pools)
+            yield tuple(run.pick(p) for p in pools)
         return
     yield from product(*pools)
+
+
+def _unless_skipped(*hss):
+    """The homsets, or None when any was skipped.  The caller fetches them
+    all first, so every skip is recorded."""
+    return None if any(hs is None for hs in hss) else hss
 
 
 def _first_clash(run, items, key, seen=None):
@@ -360,19 +391,15 @@ def _first_clash(run, items, key, seen=None):
 
 def check_cat_identity(run):
     th = run.theory
-    for a in run.probes():
-        for b in run.probes():
-            hs = run.homs(a, b)
-            if hs is None:
-                continue
-            ida, idb = th.identity(a), th.identity(b)
-            for f in hs:
-                if not run.check_eq(th.compose(idb, f), f,
-                                    "id . f = f", {"f": f}):
-                    return
-                if not run.check_eq(th.compose(f, ida), f,
-                                    "f . id = f", {"f": f}):
-                    return
+    for a, b, hs in run.homsets(run.squares()):
+        ida, idb = th.identity(a), th.identity(b)
+        for f in hs:
+            if not run.check_eq(th.compose(idb, f), f,
+                                "id . f = f", {"f": f}):
+                return
+            if not run.check_eq(th.compose(f, ida), f,
+                                "f . id = f", {"f": f}):
+                return
 
 
 def check_cat_assoc(run):
@@ -383,7 +410,7 @@ def check_cat_assoc(run):
         return
     run.sampled = True
     for _ in range(run.cfg.samples):
-        a, b, c, d = (objs[run.rng.randrange(len(objs))] for _ in range(4))
+        a, b, c, d = (run.pick(objs) for _ in range(4))
         try:
             f = th.sample_hom(a, b, run.rng)
             g = th.sample_hom(b, c, run.rng)
@@ -392,9 +419,7 @@ def check_cat_assoc(run):
             hs1, hs2, hs3 = run.homs(a, b), run.homs(b, c), run.homs(c, d)
             if not hs1 or not hs2 or not hs3:
                 continue
-            f = hs1[run.rng.randrange(len(hs1))]
-            g = hs2[run.rng.randrange(len(hs2))]
-            h = hs3[run.rng.randrange(len(hs3))]
+            f, g, h = run.pick(hs1), run.pick(hs2), run.pick(hs3)
         if not run.check_eq(th.compose(h, th.compose(g, f)),
                             th.compose(th.compose(h, g), f),
                             "h . (g . f) = (h . g) . f",
@@ -405,60 +430,49 @@ def check_cat_assoc(run):
 def check_coarse_graining(run):
     """Commutativity, associativity and composition distributivity of merging."""
     th = run.theory
-    for a in run.probes():
-        for b in run.probes():
-            hs = run.homs(a, b)
-            if hs is None:
-                continue
-            # hom(b, a) is fetched once, at the first pair that pairs
-            fetched = False
-            for f, g in _capped_product(run, hs, hs):
-                if th.try_pairing([f, g]) is None:
-                    continue
-                run.tick()
-                fg = ops.coarse_grain(f, g)
-                gf = ops.coarse_grain(g, f)
-                if not run.check_eq(fg, gf, "f v g = g v f", {"f": f, "g": g}):
+    for a, b, hs in run.homsets(run.squares()):
+        # hom(b, a) is fetched once, at the first pair that pairs
+        fetched = False
+        for f, g in run.pairing_pairs(hs):
+            run.tick()
+            fg = ops.coarse_grain(f, g)
+            gf = ops.coarse_grain(g, f)
+            if not run.check_eq(fg, gf, "f v g = g v f", {"f": f, "g": g}):
+                return
+            if not fetched:
+                post = run.homs(b, a)
+                fetched = True
+            if post:
+                k = run.pick(post)
+                lhs = th.compose(k, fg)
+                if th.try_pairing([th.compose(k, f), th.compose(k, g)]) is None:
+                    run.fail("k.(f v g) defined but k.f, k.g do not merge",
+                             {"f": f, "g": g, "k": k}, repr(lhs), "undefined")
                     return
-                if not fetched:
-                    post = run.homs(b, a)
-                    fetched = True
-                if post:
-                    k = post[run.rng.randrange(len(post))]
-                    lhs = th.compose(k, fg)
-                    if th.try_pairing([th.compose(k, f), th.compose(k, g)]) is None:
-                        run.fail("k.(f v g) defined but k.f, k.g do not merge",
-                                 {"f": f, "g": g, "k": k}, repr(lhs), "undefined")
-                        return
-                    rhs = ops.coarse_grain(th.compose(k, f), th.compose(k, g))
-                    if not run.check_eq(lhs, rhs, "k.(f v g) = k.f v k.g",
-                                        {"f": f, "g": g, "k": k}):
-                        return
+                rhs = ops.coarse_grain(th.compose(k, f), th.compose(k, g))
+                if not run.check_eq(lhs, rhs, "k.(f v g) = k.f v k.g",
+                                    {"f": f, "g": g, "k": k}):
+                    return
 
 
 def check_zero_laws(run):
     th = run.theory
-    for a in run.probes():
-        for b in run.probes():
-            z = th.zero_morphism(a, b)
-            hs = run.homs(a, b)
-            if hs is None:
+    for a, b, hs in run.homsets(run.squares()):
+        z = th.zero_morphism(a, b)
+        for f in hs:
+            if th.try_pairing([f, z]) is None:
+                run.fail("f and 0 always merge", {"f": f}, repr(f), "no pairing")
+                return
+            if not run.check_eq(ops.coarse_grain(f, z), f,
+                                "f v 0 = f", {"f": f}):
+                return
+        for c, _, pre in run.homsets((c, a) for c in run.probes()):
+            if not pre:
                 continue
-            for f in hs:
-                if th.try_pairing([f, z]) is None:
-                    run.fail("f and 0 always merge", {"f": f}, repr(f), "no pairing")
-                    return
-                if not run.check_eq(ops.coarse_grain(f, z), f,
-                                    "f v 0 = f", {"f": f}):
-                    return
-            for c in run.probes():
-                pre = run.homs(c, a)
-                if not pre:
-                    continue
-                g = pre[run.rng.randrange(len(pre))]
-                if not run.check_eq(th.compose(z, g), th.zero_morphism(c, b),
-                                    "0 . g = 0", {"g": g}):
-                    return
+            g = run.pick(pre)
+            if not run.check_eq(th.compose(z, g), th.zero_morphism(c, b),
+                                "0 . g = 0", {"g": g}):
+                return
 
 
 def check_trivial_tests(run):
@@ -481,10 +495,7 @@ def check_trivial_tests(run):
 def check_complements(run):
     th = run.theory
     unit = th.unit()
-    for a in run.probes():
-        effects = run.homs(a, unit)
-        if effects is None:
-            continue
+    for _, _, effects in run.homsets((a, unit) for a in run.probes()):
         for e in effects:
             run.tick()
             try:
@@ -506,10 +517,8 @@ def check_complements(run):
 def check_causality(run):
     th = run.theory
     unit = th.unit()
-    for a in run.probes():
-        effects = run.totals(a, unit)
-        if effects is None:
-            continue
+    for a, _, effects in run.homsets(((a, unit) for a in run.probes()),
+                                     run.totals):
         top = th.discard(a)
         for e in effects:
             run.tick()
@@ -521,14 +530,11 @@ def check_causality(run):
 def check_cancellativity(run):
     th = run.theory
     unit = th.unit()
-    for a in run.probes():
-        effects = run.homs(a, unit)
-        if effects is None:
-            continue
+    for _, _, effects in run.homsets((a, unit) for a in run.probes()):
         pool = effects
         if len(effects) ** 2 > run.cfg.cap:
             run.notes.add("pair-scan-capped")
-            pool = [effects[run.rng.randrange(len(effects))]
+            pool = [run.pick(effects)
                     for _ in range(max(2, int(run.cfg.samples ** 0.5)))]
         for e3 in pool:
             clash = _first_clash(
@@ -547,15 +553,14 @@ def check_discard_tensor(run):
     th = run.theory
     unit = th.unit()
     lam = th.unitor_left(unit)
-    for a in run.probes():
-        for b in run.probes():
-            run.tick()
-            lhs = th.discard(th.tensor_obj(a, b))
-            rhs = th.compose(lam, th.tensor(th.discard(a), th.discard(b)))
-            if not run.check_eq(lhs, rhs,
-                                "discard(A x B) = coherence . (discard A x discard B)",
-                                {"A": th.object_str(a), "B": th.object_str(b)}):
-                return
+    for a, b in run.squares():
+        run.tick()
+        lhs = th.discard(th.tensor_obj(a, b))
+        rhs = th.compose(lam, th.tensor(th.discard(a), th.discard(b)))
+        if not run.check_eq(lhs, rhs,
+                            "discard(A x B) = coherence . (discard A x discard B)",
+                            {"A": th.object_str(a), "B": th.object_str(b)}):
+            return
 
 
 def check_c1_structure(run):
@@ -565,33 +570,24 @@ def check_c1_structure(run):
     if not run.check_eq(th.discard(unit), th.identity(unit),
                         "discard on the trivial object is the identity", {}):
         return
-    for a in run.probes():
-        for b in run.probes():
-            run.tick()
-            ab = th.coproduct((a, b))
-            lhs = th.discard(ab)
-            rhs = th.cotuple((a, b), [th.discard(a), th.discard(b)])
-            if not run.check_eq(lhs, rhs, "discard(A + B) = [discard A, discard B]",
-                                {"A": th.object_str(a), "B": th.object_str(b)}):
-                return
+    for a, b in run.squares():
+        run.tick()
+        ab = th.coproduct((a, b))
+        lhs = th.discard(ab)
+        rhs = th.cotuple((a, b), [th.discard(a), th.discard(b)])
+        if not run.check_eq(lhs, rhs, "discard(A + B) = [discard A, discard B]",
+                            {"A": th.object_str(a), "B": th.object_str(b)}):
+            return
     zero = th.zero()
     for a in run.probes():
-        hs = run.homs(zero, a)
-        if hs is not None:
-            run.tick()
-            if len({run.key(f) for f in hs}) > 1:
-                run.fail("the zero object is initial",
-                         {"object": th.object_str(a)},
-                         f"{len(hs)} morphisms", "1")
-                return
-        hs = run.homs(a, zero)
-        if hs is not None:
-            run.tick()
-            if len({run.key(f) for f in hs}) > 1:
-                run.fail("the zero object is terminal",
-                         {"object": th.object_str(a)},
-                         f"{len(hs)} morphisms", "1")
-                return
+        for end, pair in (("initial", (zero, a)), ("terminal", (a, zero))):
+            for _, _, hs in run.homsets([pair]):
+                run.tick()
+                if len({run.key(f) for f in hs}) > 1:
+                    run.fail(f"the zero object is {end}",
+                             {"object": th.object_str(a)},
+                             f"{len(hs)} morphisms", "1")
+                    return
 
 
 def check_c2_joint_monic(run):
@@ -601,10 +597,7 @@ def check_c2_joint_monic(run):
             continue
         aa = th.coproduct((a, a))
         projs = [ops.projection(th, (a, a), i) for i in range(2)]
-        for x in run.probes():
-            hs = run.homs(x, aa)
-            if hs is None:
-                continue
+        for _, _, hs in run.homsets((x, aa) for x in run.probes()):
             clash = _first_clash(run, hs, lambda f: tuple(
                 run.key(th.compose(p, f)) for p in projs))
             if clash:
@@ -619,75 +612,64 @@ def check_c2_joint_monic(run):
 def check_c3_total_extension(run):
     th = run.theory
     unit = th.unit()
-    for a in run.probes():
-        for b in run.probes():
-            hs = run.homs(a, b)
-            if hs is None:
-                continue
-            proj = ops.projection(th, (b, unit), 0)
-            for f in hs:
-                run.tick()
-                try:
-                    ext = ops.total_extension(f)
-                except NoComplement:
-                    run.fail("every event has a total extension", {"f": f},
-                             repr(f), "no extension")
-                    return
-                except (NonUniqueComplement, NotAPartialTest) as exc:
-                    run.fail("the total extension is canonical", {"f": f},
-                             repr(f), str(exc))
-                    return
-                if not ops.is_total(ext):
-                    run.fail("the extension is total", {"f": f}, repr(ext), "total")
-                    return
-                if not run.check_eq(th.compose(proj, ext), f,
-                                    "the extension restricts to the event",
-                                    {"f": f}):
-                    return
-            totals = run.totals_into_lift(a, b)
-            if totals is None:
-                continue
-            clash = _first_clash(run, totals, lambda t: run.key(th.compose(proj, t)))
-            if clash:
-                g1, g2 = clash
-                run.fail("the total extension is unique",
-                         {"event": th.compose(proj, g2), "g1": g1, "g2": g2},
-                         repr(g1), repr(g2))
+    for a, b, hs in run.homsets(run.squares()):
+        proj = ops.projection(th, (b, unit), 0)
+        for f in hs:
+            run.tick()
+            try:
+                ext = ops.total_extension(f)
+            except NoComplement:
+                run.fail("every event has a total extension", {"f": f},
+                         repr(f), "no extension")
                 return
+            except (NonUniqueComplement, NotAPartialTest) as exc:
+                run.fail("the total extension is canonical", {"f": f},
+                         repr(f), str(exc))
+                return
+            if not ops.is_total(ext):
+                run.fail("the extension is total", {"f": f}, repr(ext), "total")
+                return
+            if not run.check_eq(th.compose(proj, ext), f,
+                                "the extension restricts to the event",
+                                {"f": f}):
+                return
+        totals = run.totals_into_lift(a, b)
+        clash = totals is not None and _first_clash(
+            run, totals, lambda t: run.key(th.compose(proj, t)))
+        if clash:
+            g1, g2 = clash
+            run.fail("the total extension is unique",
+                     {"event": th.compose(proj, g2), "g1": g1, "g2": g2},
+                     repr(g1), repr(g2))
+            return
 
 
 def check_c4_distributivity(run):
     """Tensor distributes over merging and annihilates with zero."""
     th = run.theory
     objs = [o for o in run.probes() if th.object_size(o) >= 1]
-    for a in objs:
-        for b in objs:
-            hs = run.homs(a, b)
-            if hs is None:
-                continue
-            for f, g in _capped_product(run, hs, hs):
-                if th.try_pairing([f, g]) is None:
-                    continue
-                h = hs[run.rng.randrange(len(hs))]
-                run.tick()
-                lhs = th.tensor(h, ops.coarse_grain(f, g))
-                if th.try_pairing([th.tensor(h, f), th.tensor(h, g)]) is None:
-                    run.fail("h x (f v g) defined but h x f, h x g do not merge",
-                             {"f": f, "g": g, "h": h}, repr(lhs), "undefined")
-                    return
-                rhs = ops.coarse_grain(th.tensor(h, f), th.tensor(h, g))
-                if not run.check_eq(lhs, rhs, "h x (f v g) = (h x f) v (h x g)",
-                                    {"f": f, "g": g, "h": h}):
-                    return
-            z = th.zero_morphism(a, b)
-            if hs:
-                h = hs[run.rng.randrange(len(hs))]
-                run.tick()
-                if not run.check_eq(
-                        th.tensor(h, z),
-                        th.zero_morphism(th.tensor_obj(a, a), th.tensor_obj(b, b)),
-                        "h x 0 = 0", {"h": h}):
-                    return
+    for a, b, hs in run.homsets(run.squares(objs)):
+        for f, g in run.pairing_pairs(hs):
+            h = run.pick(hs)
+            run.tick()
+            lhs = th.tensor(h, ops.coarse_grain(f, g))
+            if th.try_pairing([th.tensor(h, f), th.tensor(h, g)]) is None:
+                run.fail("h x (f v g) defined but h x f, h x g do not merge",
+                         {"f": f, "g": g, "h": h}, repr(lhs), "undefined")
+                return
+            rhs = ops.coarse_grain(th.tensor(h, f), th.tensor(h, g))
+            if not run.check_eq(lhs, rhs, "h x (f v g) = (h x f) v (h x g)",
+                                {"f": f, "g": g, "h": h}):
+                return
+        z = th.zero_morphism(a, b)
+        if hs:
+            h = run.pick(hs)
+            run.tick()
+            if not run.check_eq(
+                    th.tensor(h, z),
+                    th.zero_morphism(th.tensor_obj(a, a), th.tensor_obj(b, b)),
+                    "h x 0 = 0", {"h": h}):
+                return
 
 
 def check_lemma34_joint_monic(run):
@@ -700,10 +682,7 @@ def check_lemma34_joint_monic(run):
     for summands in triples:
         cop = th.coproduct(summands)
         projs = [ops.projection(th, summands, i) for i in range(3)]
-        for x in run.probes():
-            hs = run.homs(x, cop)
-            if hs is None:
-                continue
+        for _, _, hs in run.homsets((x, cop) for x in run.probes()):
             clash = _first_clash(run, hs, lambda f: tuple(
                 run.key(th.compose(p, f)) for p in projs))
             if clash:
@@ -716,56 +695,49 @@ def check_lemma34_joint_monic(run):
 def check_coproduct_universal(run):
     th = run.theory
     objs = [o for o in run.probes() if th.object_size(o) >= 1]
-    for a in objs:
-        for b in objs:
-            ab = th.coproduct((a, b))
-            k1 = th.coprojection((a, b), 0)
-            k2 = th.coprojection((a, b), 1)
-            for c in run.probes():
-                fs = run.homs(a, c)
-                gs = run.homs(b, c)
-                if fs is None or gs is None:
-                    continue
-                for f, g in _capped_product(run, fs, gs):
-                    run.tick()
-                    h = th.cotuple((a, b), [f, g])
-                    if not run.check_eq(th.compose(h, k1), f,
-                                        "[f, g] . k1 = f", {"f": f, "g": g}):
-                        return
-                    if not run.check_eq(th.compose(h, k2), g,
-                                        "[f, g] . k2 = g", {"f": f, "g": g}):
-                        return
-                hs = run.homs(ab, c)
-                if hs is None:
-                    continue
-                clash = _first_clash(run, hs, lambda h: (
-                    run.key(th.compose(h, k1)), run.key(th.compose(h, k2))))
-                if clash:
-                    h1, h2 = clash
-                    run.fail("the cotupling is unique", {"h1": h1, "h2": h2},
-                             repr(h1), repr(h2))
+    for a, b in run.squares(objs):
+        ab = th.coproduct((a, b))
+        k1 = th.coprojection((a, b), 0)
+        k2 = th.coprojection((a, b), 1)
+        legs = lambda a, c: _unless_skipped(run.homs(a, c), run.homs(b, c))
+        for _, c, (fs, gs) in run.homsets(((a, c) for c in run.probes()), legs):
+            for f, g in _capped_product(run, fs, gs):
+                run.tick()
+                h = th.cotuple((a, b), [f, g])
+                if not run.check_eq(th.compose(h, k1), f,
+                                    "[f, g] . k1 = f", {"f": f, "g": g}):
                     return
+                if not run.check_eq(th.compose(h, k2), g,
+                                    "[f, g] . k2 = g", {"f": f, "g": g}):
+                    return
+            hs = run.homs(ab, c)
+            clash = hs is not None and _first_clash(run, hs, lambda h: (
+                run.key(th.compose(h, k1)), run.key(th.compose(h, k2))))
+            if clash:
+                h1, h2 = clash
+                run.fail("the cotupling is unique", {"h1": h1, "h2": h2},
+                         repr(h1), repr(h2))
+                return
 
 
 def check_eq2_projections(run):
     th = run.theory
     objs = [o for o in run.probes() if th.object_size(o) >= 1]
-    for a in objs:
-        for b in objs:
-            summands = (a, b)
-            for y in range(2):
-                p = ops.projection(th, summands, y)
-                for x in range(2):
-                    run.tick()
-                    got = th.compose(p, th.coprojection(summands, x))
-                    want = (th.identity(summands[x]) if x == y
-                            else th.zero_morphism(summands[x], summands[y]))
-                    if not run.check_eq(got, want,
-                                        "projection . injection = delta",
-                                        {"x": x, "y": y,
-                                         "A": th.object_str(a),
-                                         "B": th.object_str(b)}):
-                        return
+    for a, b in run.squares(objs):
+        summands = (a, b)
+        for y in range(2):
+            p = ops.projection(th, summands, y)
+            for x in range(2):
+                run.tick()
+                got = th.compose(p, th.coprojection(summands, x))
+                want = (th.identity(summands[x]) if x == y
+                        else th.zero_morphism(summands[x], summands[y]))
+                if not run.check_eq(got, want,
+                                    "projection . injection = delta",
+                                    {"x": x, "y": y,
+                                     "A": th.object_str(a),
+                                     "B": th.object_str(b)}):
+                    return
 
 
 def _tilde_projection(th, a, i):
@@ -784,10 +756,8 @@ def check_def31_c1(run):
     projection pair out of (A + A) + 1."""
     th = run.theory
     unit = th.unit()
-    for a in run.probes():
-        totals = run.totals(a, unit)
-        if totals is None:
-            continue
+    for a, _, totals in run.homsets(((a, unit) for a in run.probes()),
+                                    run.totals):
         top = th.discard(a)
         for t in totals:
             run.tick()
@@ -804,10 +774,8 @@ def check_def31_c1(run):
             tri = _tilde_projection(th, a, i)
             k2 = th.compose(th.coprojection((a, unit), 1), th.identity(unit))
             maps.append(th.cotuple((aa, unit), [tri, k2]))
-        for x in run.probes():
-            totals = run.totals_into_lift(x, aa)
-            if totals is None:
-                continue
+        for _, _, totals in run.homsets(((x, aa) for x in run.probes()),
+                                        run.totals_into_lift):
             clash = _first_clash(run, totals, lambda f: tuple(
                 run.key(th.compose(m, f)) for m in maps))
             if clash:
@@ -829,10 +797,7 @@ def check_def31_c2(run):
             th.coprojection((unit, unit), 1)])
         k1a = th.coprojection((a, unit), 0)
         k1u = th.coprojection((unit, unit), 0)
-        for x in run.probes():
-            vs = run.totals(x, a)
-            if vs is None:
-                continue
+        for x, _, vs in run.homsets(((x, a) for x in run.probes()), run.totals):
             mediated = {}
             clash = _first_clash(run, vs, lambda v: run.key(th.compose(k1a, v)),
                                  mediated)
@@ -859,111 +824,93 @@ def check_lemma32(run):
     """Coprojections are monic and meet only at the zero object."""
     th = run.theory
     objs = [o for o in run.probes() if th.object_size(o) >= 1]
-    for a in objs:
-        for b in objs:
-            k1 = th.coprojection((a, b), 0)
-            k2 = th.coprojection((a, b), 1)
-            for x in run.probes():
-                fs = run.totals(x, a)
-                gs = run.totals(x, b)
-                if fs is None or gs is None:
-                    continue
-                images = {}
-                clash = _first_clash(run, fs, lambda f: run.key(th.compose(k1, f)),
-                                     images)
-                if clash:
-                    g, f = clash
-                    run.fail("the first coprojection is monic",
-                             {"f": f, "g": g}, repr(f), repr(g))
-                    return
-                if th.object_size(x) >= 1:
-                    for g in gs:
-                        run.tick()
-                        if run.key(th.compose(k2, g)) in images:
-                            run.fail("the coprojection images only meet over zero",
-                                     {"g": g}, repr(th.compose(k2, g)), "disjoint")
-                            return
+    for a, b in run.squares(objs):
+        k1 = th.coprojection((a, b), 0)
+        k2 = th.coprojection((a, b), 1)
+        legs = lambda x, a: _unless_skipped(run.totals(x, a), run.totals(x, b))
+        for x, _, (fs, gs) in run.homsets(((x, a) for x in run.probes()), legs):
+            images = {}
+            clash = _first_clash(run, fs, lambda f: run.key(th.compose(k1, f)),
+                                 images)
+            if clash:
+                g, f = clash
+                run.fail("the first coprojection is monic",
+                         {"f": f, "g": g}, repr(f), repr(g))
+                return
+            if th.object_size(x) >= 1:
+                for g in gs:
+                    run.tick()
+                    if run.key(th.compose(k2, g)) in images:
+                        run.fail("the coprojection images only meet over zero",
+                                 {"g": g}, repr(th.compose(k2, g)), "disjoint")
+                        return
 
 
 def check_positivity(run):
     th = run.theory
     unit = th.unit()
-    for a in run.probes():
-        for b in run.probes():
-            hs = run.homs(a, b)
-            if hs is None:
-                continue
-            z = th.zero_morphism(a, b)
-            top = th.discard(b)
-            zero_eff = th.zero_morphism(a, unit)
-            for f in hs:
-                run.tick()
-                if th.equal(th.compose(top, f), zero_eff) and not th.equal(f, z):
-                    run.fail("discard . f = 0 implies f = 0", {"f": f},
-                             repr(th.compose(top, f)), repr(f))
+    for a, b, hs in run.homsets(run.squares()):
+        z = th.zero_morphism(a, b)
+        top = th.discard(b)
+        zero_eff = th.zero_morphism(a, unit)
+        for f in hs:
+            run.tick()
+            if th.equal(th.compose(top, f), zero_eff) and not th.equal(f, z):
+                run.fail("discard . f = 0 implies f = 0", {"f": f},
+                         repr(th.compose(top, f)), repr(f))
+                return
+        for f, g in run.pairing_pairs(hs):
+            run.tick()
+            if th.equal(ops.coarse_grain(f, g), z):
+                if not (th.equal(f, z) and th.equal(g, z)):
+                    run.fail("f v g = 0 implies f = g = 0",
+                             {"f": f, "g": g},
+                             repr(ops.coarse_grain(f, g)), "0 with f, g != 0",
+                             replay=lambda f=f, g=g, z=z:
+                             th.equal(ops.coarse_grain(f, g), z)
+                             and not th.equal(f, z))
                     return
-            for f, g in _capped_product(run, hs, hs):
-                if th.try_pairing([f, g]) is None:
-                    continue
-                run.tick()
-                if th.equal(ops.coarse_grain(f, g), z):
-                    if not (th.equal(f, z) and th.equal(g, z)):
-                        run.fail("f v g = 0 implies f = g = 0",
-                                 {"f": f, "g": g},
-                                 repr(ops.coarse_grain(f, g)), "0 with f, g != 0",
-                                 replay=lambda f=f, g=g, z=z:
-                                 th.equal(ops.coarse_grain(f, g), z)
-                                 and not th.equal(f, z))
-                        return
 
 
 def check_combining(run):
     th = run.theory
     for a in run.probes():
         top = th.discard(a)
-        for b in run.probes():
-            for c in run.probes():
-                fs = run.homs(a, b)
-                gs = run.homs(a, c)
-                if fs is None or gs is None:
+        legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
+        for b, c, (fs, gs) in run.homsets(run.squares(), legs):
+            for f, g in _capped_product(run, fs, gs):
+                ef = th.compose(th.discard(b), f)
+                eg = th.compose(th.discard(c), g)
+                if th.try_pairing([ef, eg]) is None:
                     continue
-                for f, g in _capped_product(run, fs, gs):
-                    ef = th.compose(th.discard(b), f)
-                    eg = th.compose(th.discard(c), g)
-                    if th.try_pairing([ef, eg]) is None:
-                        continue
-                    if not th.equal(ops.coarse_grain(ef, eg), top):
-                        continue
-                    run.tick()
-                    if th.try_pairing([f, g]) is None:
-                        run.fail("complementary normalizations admit a joint test",
-                                 {"f": f, "g": g}, "discard", "no pairing",
-                                 replay=lambda f=f, g=g: th.try_pairing([f, g]) is None)
-                        return
+                if not th.equal(ops.coarse_grain(ef, eg), top):
+                    continue
+                run.tick()
+                if th.try_pairing([f, g]) is None:
+                    run.fail("complementary normalizations admit a joint test",
+                             {"f": f, "g": g}, "discard", "no pairing",
+                             replay=lambda f=f, g=g: th.try_pairing([f, g]) is None)
+                    return
 
 
 def check_observations(run):
     """A family is a partial test exactly when its discard composites merge."""
     th = run.theory
     for a in run.probes():
-        for b in run.probes():
-            for c in run.probes():
-                fs = run.homs(a, b)
-                gs = run.homs(a, c)
-                if fs is None or gs is None:
-                    continue
-                for f, g in _capped_product(run, fs, gs):
-                    run.tick()
-                    ef = th.compose(th.discard(b), f)
-                    eg = th.compose(th.discard(c), g)
-                    observable = th.try_pairing([ef, eg]) is not None
-                    paired = th.try_pairing([f, g]) is not None
-                    if observable != paired:
-                        run.fail("pairing exists iff the observations merge",
-                                 {"f": f, "g": g},
-                                 f"observations merge: {observable}",
-                                 f"pairing exists: {paired}")
-                        return
+        legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
+        for b, c, (fs, gs) in run.homsets(run.squares(), legs):
+            for f, g in _capped_product(run, fs, gs):
+                run.tick()
+                ef = th.compose(th.discard(b), f)
+                eg = th.compose(th.discard(c), g)
+                observable = th.try_pairing([ef, eg]) is not None
+                paired = th.try_pairing([f, g]) is not None
+                if observable != paired:
+                    run.fail("pairing exists iff the observations merge",
+                             {"f": f, "g": g},
+                             f"observations merge: {observable}",
+                             f"pairing exists: {paired}")
+                    return
 
 
 def check_pcm_laws(run):
@@ -1006,37 +953,28 @@ def check_pcm_laws(run):
 
 def check_iso_total(run):
     th = run.theory
-    for a in run.probes():
-        for b in run.probes():
-            fs = run.homs(a, b)
-            gs = run.homs(b, a)
-            if fs is None or gs is None:
-                continue
-            if len(fs) * len(gs) > run.cfg.cap:
-                run.skip(a, b, "iso search over cap")
-                continue
-            ida, idb = th.identity(a), th.identity(b)
-            for f in fs:
-                for g in gs:
-                    if th.equal(th.compose(g, f), ida) and \
-                            th.equal(th.compose(f, g), idb):
-                        run.tick()
-                        if not ops.is_total(f):
-                            run.fail("every isomorphism is total", {"f": f, "g": g},
-                                     repr(th.compose(th.discard(b), f)),
-                                     repr(th.discard(a)))
-                            return
+    both = lambda a, b: _unless_skipped(run.homs(a, b), run.homs(b, a))
+    for a, b, (fs, gs) in run.homsets(run.squares(), both):
+        if len(fs) * len(gs) > run.cfg.cap:
+            run.skip(a, b, "iso search over cap")
+            continue
+        ida, idb = th.identity(a), th.identity(b)
+        for f, g in product(fs, gs):
+            if th.equal(th.compose(g, f), ida) and \
+                    th.equal(th.compose(f, g), idb):
+                run.tick()
+                if not ops.is_total(f):
+                    run.fail("every isomorphism is total", {"f": f, "g": g},
+                             repr(th.compose(th.discard(b), f)),
+                             repr(th.discard(a)))
+                    return
 
 
 def check_zero_strict(run):
     th = run.theory
     zero = th.zero()
-    for a in run.probes():
-        if th.object_size(a) == 0:
-            continue
-        hs = run.totals(a, zero)
-        if hs is None:
-            continue
+    for a, _, hs in run.homsets(((a, zero) for a in run.probes()
+                                 if th.object_size(a) != 0), run.totals):
         run.tick()
         if hs:
             run.fail("the zero object is strict", {"object": th.object_str(a)},
@@ -1047,38 +985,33 @@ def check_zero_strict(run):
 def check_direct_sums(run):
     th = run.theory
     objs = [o for o in run.probes() if th.object_size(o) >= 1]
-    for a in objs:
-        for b in objs:
-            run.tick()
-            verdict = direct_sum_verify(th, (a, b))
-            if not verdict["ok"]:
-                run.fail("the canonical coproduct is a direct sum",
-                         {"A": th.object_str(a), "B": th.object_str(b)},
-                         ", ".join(verdict["failures"]), "all equations hold")
-                return
+    for a, b in run.squares(objs):
+        run.tick()
+        verdict = direct_sum_verify(th, (a, b))
+        if not verdict["ok"]:
+            run.fail("the canonical coproduct is a direct sum",
+                     {"A": th.object_str(a), "B": th.object_str(b)},
+                     ", ".join(verdict["failures"]), "all equations hold")
+            return
 
 
 def check_separation(run):
     th = run.theory
     unit = th.unit()
-    for a in run.probes():
-        for b in run.probes():
-            hs = run.homs(a, b)
-            states = run.homs(unit, a)
-            effects = run.homs(b, unit)
-            if hs is None or states is None or effects is None:
-                continue
-            if len(hs) * len(states) * len(effects) > run.cfg.cap:
-                run.skip(a, b, "probe signature scan over cap")
-                continue
-            clash = _first_clash(run, hs, lambda f: tuple(
-                probe_scalar_key(th, th.compose(e, th.compose(f, w)))
-                for w in states for e in effects))
-            if clash:
-                g, f = clash
-                run.fail("probes separate parallel events",
-                         {"f": f, "g": g}, repr(f), repr(g))
-                return
+    probes = lambda a, b: _unless_skipped(run.homs(a, b), run.homs(unit, a),
+                                          run.homs(b, unit))
+    for a, b, (hs, states, effects) in run.homsets(run.squares(), probes):
+        if len(hs) * len(states) * len(effects) > run.cfg.cap:
+            run.skip(a, b, "probe signature scan over cap")
+            continue
+        clash = _first_clash(run, hs, lambda f: tuple(
+            th.rounded_key(th.compose(e, th.compose(f, w)))
+            for w in states for e in effects))
+        if clash:
+            g, f = clash
+            run.fail("probes separate parallel events",
+                     {"f": f, "g": g}, repr(f), repr(g))
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -503,15 +503,6 @@ def search_direct_sum(theory, summands, bound):
 # ---------------------------------------------------------------------------
 # Quotient by operational indistinguishability
 
-def probe_scalar_key(theory, s):
-    """A hashable key for a scalar: exact payload key when available, the
-    theory's rounded key for tolerance-based theories."""
-    try:
-        return theory.payload_key(s)
-    except NotEnumerable:
-        return theory.rounded_key(s)
-
-
 class QuotientTheory(Theory):
     """Identify events whose state/effect probe statistics coincide.
 
@@ -587,9 +578,6 @@ class QuotientTheory(Theory):
                 out.append(c)
         return out
 
-    def _skey(self, s):
-        return probe_scalar_key(self.base, s)
-
     def _exact_key(self, f):
         """The memo key of a base event, or None when the base has none."""
         try:
@@ -628,7 +616,7 @@ class QuotientTheory(Theory):
     def _effect_row(self, mid):
         """The outcome of every effect probe after the intermediate ``mid``."""
         base = self.base
-        return tuple(self._skey(base.compose(e, mid))
+        return tuple(base.rounded_key(base.compose(e, mid))
                      for e in self._hom_probe(mid.cod, base.unit(), "effect"))
 
     def _partition(self, a, b, cap):
