@@ -18,8 +18,9 @@ operations (``identity``, ``zero_morphism``, ``discard``, ``equal``,
 ``unitor_right_inv``), and defines:
 
 - ``unit``, ``object_str`` and ``probe_objects``;
-- ``_m(dom, cod, grid)``, which wraps a grid as a morphism and may reject
-  it by raising :class:`NotAPartialTest`;
+- ``_m(dom, cod, grid)``, which wraps a grid as a morphism;
+- ``try_pairing``, which extends the one here (the grids side by side) by
+  deciding whether each row of the result is a partial test;
 - ``_dot(x, z, row, col)``, the entry from ``x`` to ``z`` of a matrix
   product: the merge over ``j`` of ``col[j]`` after ``row[j]``;
 - enumeration, sampling and validation.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import NotAPartialTest
 from .theory import Theory
 
 
@@ -105,11 +105,7 @@ class BlockMatrices(Theory):
         dom = events[0].dom
         grid = [[e for f in events for e in f.payload[i]]
                 for i in range(len(dom))]
-        try:
-            return self._m(dom, self.coproduct(tuple(f.cod for f in events)),
-                           grid)
-        except NotAPartialTest:
-            return None
+        return self._m(dom, self.coproduct(tuple(f.cod for f in events)), grid)
 
     def effect_complements(self, e):
         per_row = [self.entries.effect_complements(row[0]) for row in e.payload]

@@ -349,13 +349,7 @@ class PlusTheory(BlockMatrices):
 
     # -- morphisms ---------------------------------------------------------
     def _m(self, dom, cod, grid):
-        grid = tuple(tuple(row) for row in grid)
-        if cod:
-            for i, row in enumerate(grid):
-                if self.base.try_pairing(row) is None:
-                    raise NotAPartialTest(
-                        f"{self.name}: outcome family of source index {i} is not a partial test")
-        return Morphism(self, dom, cod, grid)
+        return Morphism(self, dom, cod, tuple(tuple(row) for row in grid))
 
     def _dot(self, x, z, row, col):
         base = self.base
@@ -365,6 +359,20 @@ class PlusTheory(BlockMatrices):
     def payload_key(self, f):
         key = self.base.payload_key
         return tuple(tuple(key(e) for e in row) for row in f.payload)
+
+    # -- tests and merging -------------------------------------------------
+    def _first_unpaired(self, f):
+        """The index of the first row of ``f`` that is not a partial test of
+        the base, or None when every row is one."""
+        if f.cod:
+            for i, row in enumerate(f.payload):
+                if self.base.try_pairing(row) is None:
+                    return i
+        return None
+
+    def try_pairing(self, events):
+        paired = super().try_pairing(events)
+        return None if self._first_unpaired(paired) is not None else paired
 
     # -- enumeration -------------------------------------------------------
     def _row_options(self, x, cod, cap):
@@ -419,7 +427,12 @@ class PlusTheory(BlockMatrices):
                 if e.theory is not base or e.dom != x or e.cod != y:
                     raise ValidationError(
                         f"{self.name}: entry ({i}) is not a base event of the right signature")
-        return self._m(dom, cod, rows)
+        m = self._m(dom, cod, rows)
+        i = self._first_unpaired(m)
+        if i is not None:
+            raise NotAPartialTest(
+                f"{self.name}: outcome family of source index {i} is not a partial test")
+        return m
 
     def singleton(self, f):
         """Embed a base event as a one-by-one matrix (the unit of the completion)."""

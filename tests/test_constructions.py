@@ -23,12 +23,13 @@ from opcheck.constructions import (
 )
 from opcheck.errors import (
     BoundExceeded,
+    NotAPartialTest,
     NotATheoryMorphism,
     NonTotalClosure,
     NotEnumerable,
 )
 from opcheck.instances import CpsuTheory, MatrixTheory, PFunTheory, SubStochTheory
-from opcheck.kernel import INTEGERS
+from opcheck.kernel import BOOLEANS, INTEGERS
 from opcheck.theoryfile import load_theory
 
 F = Fraction
@@ -102,6 +103,30 @@ def test_plus_pairing_concatenates():
     assert paired is not None
     assert paired.cod == (1, 1)
     assert plus.try_pairing([plus.singleton(ev(sub, 1, 1, [["1"]])), f]) is None
+    with pytest.raises(NotAPartialTest, match="source index 0"):
+        plus.validate_event([[ev(sub, 1, 1, [["1"]]), ev(sub, 1, 1, [["1/2"]])]],
+                            (1,), (1, 1))
+
+
+@pytest.mark.parametrize("base", [SubStochTheory(grid=1),
+                                  MatrixTheory(BOOLEANS, grid=1)],
+                         ids=["substoch", "mat_bool"])
+def test_completion_builds_grids_whose_rows_pair(base):
+    # pairing is decided only where it is asked (try_pairing, validate_event),
+    # so every grid the completion builds itself must be a partial test
+    plus = PlusTheory(base)
+    objs = plus.probe_objects(2)
+    homs = {(a, b): plus.enumerate_hom(a, b) for a in objs for b in objs}
+    events = [f for fs in homs.values() for f in fs]
+    built = [plus.identity(a) for a in objs] + [plus.discard(a) for a in objs]
+    built += [plus.coprojection((a, b), i)
+              for a in objs for b in objs for i in range(2)]
+    built += [plus.compose(g, f) for f in events for c in objs
+              for g in homs[(f.cod, c)]]
+    built += [plus.tensor(f, g) for f in events for g in events]
+    for m in built:
+        for row in m.payload if m.cod else ():
+            assert base.try_pairing(list(row)) is not None, m
 
 
 def test_plus_zero_object_homs():
