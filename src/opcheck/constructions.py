@@ -27,13 +27,13 @@ from .errors import (
     NonTotalClosure,
     ValidationError,
 )
-from .theory import Morphism, Theory, TotalCategory
+from .theory import Morphism, Theory
 
 
 # ---------------------------------------------------------------------------
 # Total subcategory
 
-class TotalOf(TotalCategory):
+class TotalOf:
     """The subcategory of total events of a partial-form theory.
 
     Morphisms are plain base morphisms (membership is the predicate
@@ -45,15 +45,6 @@ class TotalOf(TotalCategory):
         self.base = base
         self.name = f"total({base.name})"
         self.tol = base.tol
-
-    def terminal(self):
-        return self.base.unit()
-
-    def initial(self):
-        return self.base.zero()
-
-    def bang(self, a):
-        return self.base.discard(a)
 
     def coproduct(self, summands):
         return self.base.coproduct(summands)
@@ -213,9 +204,6 @@ class ParTheory(Theory):
     def enumerate_hom(self, a, b, cap=None):
         return [self._wrap(a, b, m)
                 for m in self.total.enumerate_hom(a, self._lift(b), cap)]
-
-    def hom_count(self, a, b):
-        return None
 
     def sample_hom(self, a, b, rng):
         return self.from_event(a, b, self.base.sample_hom(a, b, rng))

@@ -398,13 +398,6 @@ def matrix_product(semiring, f_rows, g_rows, width):
 # ---------------------------------------------------------------------------
 # Complex matrices with tolerance-based comparison.
 
-def as_complex_matrix(entries):
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    return m
-
-
 def matrix_approx_eq(m, n, tol=DEFAULT_TOL):
     """Entrywise comparison; a dimension mismatch is just ``False``."""
     m = np.asarray(m)

@@ -205,47 +205,3 @@ class Theory:
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
-
-class TotalCategory:
-    """A category with finite coproducts and a terminal object.
-
-    This is the total-form presentation; it is the shape produced by
-    restricting a :class:`Theory` to its total morphisms, and the shape
-    consumed by the partial-morphism construction.
-    """
-
-    name = "total"
-
-    def terminal(self):
-        raise NotImplementedError
-
-    def initial(self):
-        raise NotImplementedError
-
-    def bang(self, a):
-        """The unique morphism from ``a`` to the terminal object."""
-        raise NotImplementedError
-
-    def coproduct(self, summands):
-        raise NotImplementedError
-
-    def coprojection(self, summands, i):
-        raise NotImplementedError
-
-    def cotuple(self, summands, fs):
-        raise NotImplementedError
-
-    def identity(self, a):
-        raise NotImplementedError
-
-    def compose(self, g, f):
-        raise NotImplementedError
-
-    def equal(self, f, g, tol=None):
-        raise NotImplementedError
-
-    def enumerate_hom(self, a, b, cap=None):
-        raise NotEnumerable(f"{self.name}: hom enumeration not supported")
-
-    def probe_objects(self, bound):
-        raise NotImplementedError
