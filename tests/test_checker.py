@@ -119,7 +119,8 @@ def test_a_check_that_meets_no_instance_is_vacuous():
                       only=["separation"])
     result = report.result("separation")
     assert result.verdict == "inconclusive(vacuous)"
-    assert result.instances == 0 and result.skipped
+    assert result.instances == 0
+    assert result.notes == ["scan-skipped-over-cap"] and not result.skipped
     assert report.flags["separated"] == "inconclusive"
 
 
@@ -261,3 +262,17 @@ def test_capped_reverse_homset_is_listed_once_per_fetch():
     listed = [(s["dom"], s["cod"]) for s in result.skipped]
     assert listed.count(("2", "1")) == 1
     assert listed.count(("2", "2")) == 1
+
+
+def test_only_homsets_over_the_cap_are_listed_as_skipped():
+    # a scan over several homsets that each fit the cap, but whose product
+    # does not, is noted on its check rather than listed as a skipped homset
+    sub, cap = SubStochTheory(grid=4), 100
+    report = classify(sub, ProbeConfig(bound=2, cap=cap, seed=7))
+    skipped = [(r.id, s) for r in report.results for s in r.skipped]
+    assert skipped
+    for cid, s in skipped:
+        # substochastic objects are dimensions, printed as numbers
+        assert sub.hom_count(int(s["dom"]), int(s["cod"])) > cap, (cid, s)
+    for cid in ("lemmaB.3-i", "separation"):
+        assert "scan-skipped-over-cap" in report.result(cid).notes

@@ -22,7 +22,12 @@ standard output of
 listed once per check, with nothing else changed), and
 ``classify_cpsu_sampled.json`` is the report of
 ``classify(CpsuTheory(tol=1e-9), ProbeConfig(bound=2, samples=8, seed=7))``,
-which pins the order of the sampled draws.
+which pins the order of the sampled draws.  ``classify_substoch.json`` and
+``classify_substoch_cap100.json`` were recorded again when the iso search
+of ``lemmaB.3-i`` and the probe scan of ``separation`` came to mark a scan
+over the cap with the note ``scan-skipped-over-cap`` instead of listing
+homsets that fit the cap as skipped; only those ``skipped`` and ``notes``
+entries changed.
 
 ``classify_plus_substoch_grid1.json`` and ``classify_plus_mat_bool.json``
 are the reports of ``classify(PlusTheory(T), ProbeConfig(bound=2, seed=7))``
