@@ -45,7 +45,7 @@ DEFAULT_SAMPLES = 100
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Bounds, seeds and tolerances governing one verification run.
+    """Bounds and seeds governing one verification run.
 
     Identical config and seed give an identical report body.
     """
@@ -55,8 +55,6 @@ class ProbeConfig:
     grid: int | None = None
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    tol: float = 1e-9
-    ancilla_bound: int = 2
 
     def __post_init__(self):
         if self.bound < 0 or self.cap <= 0 or self.samples <= 0:
@@ -64,8 +62,7 @@ class ProbeConfig:
 
     def to_json(self):
         return {"bound": self.bound, "cap": self.cap, "grid": self.grid,
-                "samples": self.samples, "seed": self.seed, "tol": self.tol,
-                "ancilla_bound": self.ancilla_bound}
+                "samples": self.samples, "seed": self.seed}
 
 
 class Witness:

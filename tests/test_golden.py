@@ -35,6 +35,10 @@ for ``T`` the substochastic matrices on grid 1 and the boolean matrices on
 grid 1; they were recorded before the direct-sum completion and cpsu were
 put on one block-matrix base.  The boolean one fails four checks, so its
 witnesses print morphisms of the completion.
+
+All fifteen files were recorded again when ``tol`` and ``ancilla_bound``,
+which no run read, were dropped from the reported ``config``; nothing else
+in them changed.
 """
 
 import json
