@@ -3,7 +3,8 @@
 ``bench/spans.py`` wraps opcheck functions and theory methods by name from
 the outside, so a move or rename of one of them would only show as a zero
 in a traced benchmark run.  This drives the tracer over a small
-classification and checks that the wrapped layers were reached.
+classification and a small quotient summary and checks that the wrapped
+layers were reached.
 """
 
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from opcheck.checker import ProbeConfig, classify
-from opcheck.constructions import PlusTheory
+from opcheck.constructions import PlusTheory, quotient
 from opcheck.instances import SubStochTheory
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -43,3 +44,22 @@ def test_tracer_reaches_the_wrapped_methods(spans):
     assert metrics["constructions.PlusTheory.compose.calls"] > 0
     assert metrics["instances.compose.calls"] > 0
     assert metrics["checker.cat-identity.s"] > 0
+
+
+def test_tracer_reaches_the_quotient_methods(spans):
+    # the class_counts / is_separated loop of a monoidal quotient summary
+    tracer = spans.Tracer()
+    subject = quotient(SubStochTheory(grid=1), bound=1, monoidal=True)
+    probes = subject.base.probe_objects(1)
+    tracer.install_modules()
+    try:
+        tracer.install_subject(subject)
+        for a in probes:
+            for b in probes:
+                assert subject.class_counts(a, b)
+                assert subject.is_separated(a, b)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["constructions.QuotientTheory.signature.calls"] > 0
+    assert metrics["constructions.QuotientTheory.classes.calls"] > 0
