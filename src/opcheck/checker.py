@@ -272,8 +272,9 @@ class _Run:
         return out
 
     def key(self, f):
-        """A hashable key of ``f``: events equal within the tolerance share
-        it, barring values that round apart."""
+        """A hashable key of ``f``: exact for an exact theory, else rounded
+        so that events equal within the tolerance share it, barring values
+        that round apart."""
         return (f.dom, f.cod, self.theory.rounded_key(f))
 
     def squares(self, objs=None):
@@ -996,9 +997,9 @@ def check_direct_sums(run):
 def check_separation(run):
     th = run.theory
     unit = th.unit()
-    probes = lambda a, b: _unless_skipped(run.homs(a, b), run.homs(unit, a),
-                                          run.homs(b, unit))
-    for a, b, (hs, states, effects) in run.homsets(run.squares(), probes):
+    scans = lambda a, b: _unless_skipped(run.homs(a, b), run.homs(unit, a),
+                                         run.homs(b, unit))
+    for a, b, (hs, states, effects) in run.homsets(run.squares(), scans):
         if len(hs) * len(states) * len(effects) > run.cfg.cap:
             run.notes.add("scan-skipped-over-cap")
             continue
