@@ -34,6 +34,11 @@ class SemiringMatrices(Theory):
     matrices side by side.  Subclasses supply the objects (``object_size``,
     ``coproduct``, ``zero`` and ``object_str``) and ``_diagnostic``, which
     turns a kernel ``EventViolation`` into their own error.
+
+    Over :data:`kernel.RATIONALS01` an event is also held in its canonical
+    integer form: the product is computed from the factors' forms and keeps
+    its own, and ``payload_key`` is the form, so keyed lookups hash
+    integers rather than ``Fraction``s.
     """
 
     def _m(self, dom, cod, rows):
@@ -46,12 +51,17 @@ class SemiringMatrices(Theory):
                               for i in range(n)])
 
     def _compose(self, g, f):
+        width = self.object_size(g.cod)
         try:
-            rows = kernel.matrix_product(self.semiring, f.payload, g.payload,
-                                         self.object_size(g.cod))
+            if self.semiring is kernel.RATIONALS01:
+                rows, form = kernel.rational_product(
+                    self.rational_form(f), self.rational_form(g), width)
+            else:
+                rows, form = kernel.semiring_product(
+                    self.semiring, f.payload, g.payload, width), None
         except EventViolation as bad:
             raise self._diagnostic(bad) from None
-        return Morphism(self, f.dom, g.cod, rows)
+        return Morphism(self, f.dom, g.cod, rows, form)
 
     def zero_morphism(self, a, b):
         s = self.semiring
@@ -78,7 +88,18 @@ class SemiringMatrices(Theory):
         return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
 
     def payload_key(self, f):
+        if self.semiring is kernel.RATIONALS01:
+            return self.rational_form(f)
         return f.payload
+
+    @staticmethod
+    def rational_form(f):
+        """The :func:`kernel.rational_form` of ``f``'s rational payload,
+        computed on first use and kept in ``f.form``."""
+        form = f.form
+        if form is None:
+            form = f.form = kernel.rational_form(f.payload)
+        return form
 
     def try_pairing(self, events):
         rows = kernel.side_by_side(self.semiring, [f.payload for f in events])

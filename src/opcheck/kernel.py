@@ -2,9 +2,11 @@
 complex-matrix checks.
 
 Exact rational values are ``fractions.Fraction``, which already keeps them
-in lowest terms with a positive denominator.  The product of two rational
-matrices is computed over plain Python integers (numerators over a common
-denominator) and only its result is turned back into ``Fraction``s.
+in lowest terms with a positive denominator.  A rational matrix also has a
+canonical integer form, its numerators over their least common denominator
+(:func:`rational_form`).  The product of two rational matrices is computed
+from their forms over plain Python integers, and returns its result both as
+``Fraction``s and in that form.
 Floating point is confined to the complex-matrix helpers; every tolerance
 is passed explicitly.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -314,30 +316,35 @@ def semiring_product(semiring, f_rows, g_rows, width):
     return rows
 
 
-def _numerators(rows):
-    """``rows`` of rationals as integer numerators over their least common
-    denominator ``d``; returns ``(numerators, d)``."""
+def rational_form(rows):
+    """The canonical integer form ``(numerators, d)`` of ``rows`` of
+    rationals: ``d`` is the least common denominator of the entries and
+    ``numerators`` the rows of integers ``x * d``.  Equal rows have equal
+    forms, since ``fractions.Fraction`` keeps each entry reduced."""
     d = lcm(*[x.denominator for row in rows for x in row])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row in rows), d
 
 
-def rational_product(f_rows, g_rows, width):
+def rational_product(f_form, g_form, width):
     """:func:`semiring_product` over :data:`RATIONALS01`, computed exactly in
-    integers.
+    integers from the two factors' :func:`rational_form`.
 
-    Each factor is scaled to numerators over its common denominator, so the
-    product has denominator ``d`` = the product of the two.  A result
-    numerator ``n`` is in the carrier iff ``n >= 0`` and has a complement
-    iff ``n <= d``; a row has a complement iff its numerators sum to at most
-    ``d``.  These are the checks of :func:`check_event`, in the same order,
-    so both raise the same violation.  ``Fraction``s are built only for the
-    result, reusing the carrier's zero and one.
+    The integer product has denominator ``d`` = the product of the factors'
+    two.  A result numerator ``n`` is in the carrier iff ``n >= 0`` and has
+    a complement iff ``n <= d``; a row has a complement iff its numerators
+    sum to at most ``d``.  These are the checks of :func:`check_event`, in
+    the same order, so both raise the same violation.
+
+    Returns the product's rows of ``Fraction``s, reusing the carrier's zero
+    and one, and its form: the numerators and ``d`` divided by their gcd
+    ``g``, which leaves ``d`` the least common denominator.
     """
-    fn, fd = _numerators(f_rows)
-    gn, gd = _numerators(g_rows)
+    fn, fd = f_form
+    gn, gd = g_form
     d = fd * gd
     zero, one = RATIONALS01.zero, RATIONALS01.one
-    rows = []
+    accs = []
     for i, frow in enumerate(fn):
         acc = [0] * width
         for x, grow in zip(frow, gn):
@@ -354,9 +361,14 @@ def rational_product(f_rows, g_rows, width):
             total += n
         if total > d:
             raise EventViolation("row", i, None, Fraction(total, d))
-        rows.append(tuple(zero if n == 0 else one if n == d else Fraction(n, d)
-                          for n in acc))
-    return tuple(rows)
+        accs.append(acc)
+    g = gcd(d, *[n for acc in accs for n in acc])
+    if g > 1:
+        d //= g
+        accs = [[n // g for n in acc] for acc in accs]
+    rows = tuple(tuple(zero if n == 0 else one if n == d else Fraction(n, d)
+                       for n in acc) for acc in accs)
+    return rows, (tuple(map(tuple, accs)), d)
 
 
 def row_in_unit(semiring, row):
@@ -384,15 +396,6 @@ def side_by_side(semiring, matrices):
     if all(row_in_unit(semiring, row) for row in rows):
         return rows
     return None
-
-
-def matrix_product(semiring, f_rows, g_rows, width):
-    """The checked event ``f_rows`` times ``g_rows``: :func:`rational_product`
-    for :data:`RATIONALS01`, :func:`semiring_product` for any other carrier.
-    Raises :class:`EventViolation` when the product is no event."""
-    if semiring is RATIONALS01:
-        return rational_product(f_rows, g_rows, width)
-    return semiring_product(semiring, f_rows, g_rows, width)
 
 
 # ---------------------------------------------------------------------------

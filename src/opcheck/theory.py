@@ -8,7 +8,9 @@ tensor.  Objects are plain hashable values whose shape is documented per
 instance; morphisms are :class:`Morphism` records tagged with their theory.
 
 All values are immutable after construction and every operation is a pure
-function, so theories may be shared freely between workers.
+function, so theories may be shared freely between workers.  The one
+exception is a derived cache: a morphism's ``form`` slot, which an instance
+may fill on first use with a value computed from the payload alone.
 """
 
 from __future__ import annotations
@@ -22,15 +24,20 @@ class Morphism:
     Equality delegates to the owning theory (exact for the discrete and
     rational instances, tolerance-based for the operator instance), so
     morphisms of different theories never compare equal.
+
+    ``form`` is None or a canonical form of the payload that the owning
+    theory derives and keeps (the rational matrices keep their integer
+    form there); it never changes what the morphism is.
     """
 
-    __slots__ = ("theory", "dom", "cod", "payload")
+    __slots__ = ("theory", "dom", "cod", "payload", "form")
 
-    def __init__(self, theory, dom, cod, payload):
+    def __init__(self, theory, dom, cod, payload, form=None):
         self.theory = theory
         self.dom = dom
         self.cod = cod
         self.payload = payload
+        self.form = form
 
     def __eq__(self, other):
         if not isinstance(other, Morphism) or self.theory is not other.theory:

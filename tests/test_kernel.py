@@ -23,6 +23,7 @@ from opcheck.kernel import (
     matrix_approx_eq,
     min_eigenvalue,
     parse_rational,
+    rational_form,
     rational_product,
     rational_str,
     row_in_unit,
@@ -154,10 +155,48 @@ def test_rational_product_matches_the_fraction_reference(chain):
     mats, dims = chain
     acc = mats[0]
     for mat, width in zip(mats[1:], dims[2:]):
-        fast = rational_product(acc, mat, width)
+        fast, _ = rational_product(rational_form(acc), rational_form(mat),
+                                   width)
         assert fast == semiring_product(RATIONALS01, acc, mat, width)
         assert repr(fast) == repr(_naive_product(RATIONALS01, acc, mat, width))
         acc = fast
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chains())
+def test_a_composite_carries_the_form_of_its_payload(chain):
+    """The form a composite of composites keeps equals the form read
+    afresh from its ``Fraction`` payload."""
+    mats, dims = chain
+    sub = SubStochTheory(grid=4)
+    acc = Morphism(sub, dims[0], dims[1], mats[0])
+    for mat, a, b in zip(mats[1:], dims[1:], dims[2:]):
+        acc = sub.compose(Morphism(sub, a, b, mat), acc)
+        assert acc.form == rational_form(acc.payload)
+        assert sub.payload_key(acc) == sub.payload_key(
+            Morphism(sub, acc.dom, acc.cod, acc.payload))
+
+
+_GRID3 = SubStochTheory(grid=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_identity_composites_keep_the_payload_key(data):
+    """Over each homset up to bound 2 on grid 3, ``id . f`` keys like ``f``.
+    The composites ``g . f`` put ninths over a grid of thirds, which often
+    reduce, so ``id . (g . f)`` keys like its payload read afresh only when
+    the product keeps a reduced form."""
+    sub = _GRID3
+    a, b, c = (data.draw(st.integers(min_value=0, max_value=2))
+               for _ in range(3))
+    g = data.draw(st.sampled_from(sub.enumerate_hom(b, c)))
+    idb, idc = sub.identity(b), sub.identity(c)
+    for f in sub.enumerate_hom(a, b):
+        assert sub.payload_key(sub.compose(idb, f)) == sub.payload_key(f)
+        gf = sub.compose(g, f)
+        assert (sub.payload_key(sub.compose(idc, gf))
+                == sub.payload_key(Morphism(sub, a, c, gf.payload)))
 
 
 _any_rational = st.fractions(min_value=-1, max_value=2, max_denominator=6)
@@ -177,7 +216,10 @@ def test_rational_product_rejects_like_the_fraction_reference(case):
     """Entries outside [0, 1] and rows summing past one: the same
     violation, found at the same place, from both paths."""
     f, g, p = case
-    fast = _outcome(rational_product, f, g, p)
+
+    def fast_rows(f, g, p):
+        return rational_product(rational_form(f), rational_form(g), p)[0]
+    fast = _outcome(fast_rows, f, g, p)
     assert fast == _outcome(semiring_product, RATIONALS01, f, g, p)
     if fast[0] == "raised":
         assert fast[1] is EventViolation
