@@ -743,7 +743,6 @@ def _tilde_projection(th, a, i):
     """The total-form projection (A + A) -> A + 1 sending the other summand
     to the second coprojection via discarding."""
     unit = th.unit()
-    lifted = th.coproduct((a, unit))
     k1 = th.coprojection((a, unit), 0)
     k2fill = th.compose(th.coprojection((a, unit), 1), th.discard(a))
     legs = [k1, k2fill] if i == 0 else [k2fill, k1]
@@ -768,11 +767,9 @@ def check_def31_c1(run):
         if th.object_size(a) < 1:
             continue
         aa = th.coproduct((a, a))
-        maps = []
-        for i in range(2):
-            tri = _tilde_projection(th, a, i)
-            k2 = th.compose(th.coprojection((a, unit), 1), th.identity(unit))
-            maps.append(th.cotuple((aa, unit), [tri, k2]))
+        k2 = th.compose(th.coprojection((a, unit), 1), th.identity(unit))
+        maps = [th.cotuple((aa, unit), [_tilde_projection(th, a, i), k2])
+                for i in range(2)]
         for _, _, totals in run.homsets(((x, aa) for x in run.probes()),
                                         run.totals_into_lift):
             clash = _first_clash(run, totals, lambda f: tuple(
@@ -788,9 +785,7 @@ def check_def31_c2(run):
     """Total form: the naming square of each object is a pullback."""
     th = run.theory
     unit = th.unit()
-    two = th.coproduct((unit, unit))
     for a in run.probes():
-        lifted = th.coproduct((a, unit))
         bottom = th.cotuple((a, unit), [
             th.compose(th.coprojection((unit, unit), 0), th.discard(a)),
             th.coprojection((unit, unit), 1)])
