@@ -4,9 +4,12 @@
 the outside, so a move or rename of one of them would only show as a zero
 in a traced benchmark run.  This drives the tracer over a small
 classification and a small quotient summary and checks that the wrapped
-layers were reached.
+layers were reached.  A quotient summary workload is also run once and
+checked against the benchmark's expected results, so a change of event keys
+that merges quotient classes fails here too.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -26,6 +29,14 @@ def spans(monkeypatch):
     yield spans
     for name in ("spans", "workloads"):
         sys.modules.pop(name, None)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    yield workloads
+    sys.modules.pop("workloads", None)
 
 
 def test_tracer_reaches_the_wrapped_methods(spans):
@@ -63,3 +74,12 @@ def test_tracer_reaches_the_quotient_methods(spans):
     metrics = tracer.metrics()
     assert metrics["constructions.QuotientTheory.signature.calls"] > 0
     assert metrics["constructions.QuotientTheory.classes.calls"] > 0
+
+
+def test_quotient_summary_workload_meets_its_expected_results(workloads, tmp_path):
+    workload = workloads.WORKLOADS["quotient-summary"]
+    seed = 11
+    path = workloads.write_inputs(workload, seed, str(tmp_path))
+    subject = workloads.setup(workload, path, seed)
+    doc = json.loads(workloads.operate(workload, subject, seed))
+    assert workloads.verify(workload, doc, workloads.load_expected()) == []
