@@ -330,15 +330,16 @@ def rational_product(f_form, g_form, width):
     """:func:`semiring_product` over :data:`RATIONALS01`, computed exactly in
     integers from the two factors' :func:`rational_form`.
 
-    The integer product has denominator ``d`` = the product of the factors'
-    two.  A result numerator ``n`` is in the carrier iff ``n >= 0`` and has
-    a complement iff ``n <= d``; a row has a complement iff its numerators
-    sum to at most ``d``.  These are the checks of :func:`check_event`, in
-    the same order, so both raise the same violation.
+    The integer product has denominator ``d``, the product of the factors'
+    denominators.  A result numerator ``n`` is in the carrier iff
+    ``n >= 0`` and has a complement iff ``n <= d``; a row has a complement
+    iff its numerators sum to at most ``d``.  These are the checks of
+    :func:`check_event`, in the same order, so both raise the same
+    violation.
 
     Returns the product's rows of ``Fraction``s, reusing the carrier's zero
-    and one, and its form: the numerators and ``d`` divided by their gcd
-    ``g``, which leaves ``d`` the least common denominator.
+    and one, and its form: the numerators and ``d`` divided by their gcd,
+    which leaves ``d`` the least common denominator.
     """
     fn, fd = f_form
     gn, gd = g_form
