@@ -270,10 +270,8 @@ def roundtrip_check(theory, bound=2, cap=None):
                 if not base.equal(back, f):
                     failures.append({"kind": "projection-mismatch",
                                      "event": repr(f), "roundtrip": repr(back)})
-                try:
-                    seen.add(base.morphism_key(ext))
-                except NotEnumerable:
-                    seen.add(len(seen))
+                key = base.morphism_key(ext)
+                seen.add(len(seen) if key is None else key)
             if len(seen) != len(events):
                 failures.append({"kind": "not-injective",
                                  "dom": base.object_str(a),
@@ -304,6 +302,15 @@ class PlusTheory(BlockMatrices):
     event from ``X[i]`` to ``Y[j]``, one row per source summand and one
     column per target summand, and each row is a partial test of the base.
     The payload is the grid itself.
+
+    Each entry of a matrix product is computed once: ``_dot(x, z, row,
+    col)`` is memoised under ``x``, ``z`` and, for each ``j``, the middle
+    object ``row[j].cod`` and the base's payload keys of ``row[j]`` and
+    ``col[j]``.  A computed entry is kept under its own exact key (the
+    base's ``morphism_key``), so equal entries are one base event.  Where
+    the base has no exact keys (cpsu's ``payload_key`` raises
+    ``NotEnumerable``) every entry is computed afresh and nothing is stored;
+    nothing is stored when a computation raises either.
     """
 
     def __init__(self, base):
@@ -312,6 +319,8 @@ class PlusTheory(BlockMatrices):
         self.monoidal = base.monoidal
         self.tol = base.tol
         self._row_cache = {}
+        self._products = {}  # (x, z, keys of row and col) -> product entry
+        self._canonical = {}  # exact key of a product entry -> that entry
 
     # -- objects -----------------------------------------------------------
     def unit(self):
@@ -340,6 +349,25 @@ class PlusTheory(BlockMatrices):
         return Morphism(self, dom, cod, tuple(tuple(row) for row in grid))
 
     def _dot(self, x, z, row, col):
+        base = self.base
+        key = base.payload_key
+        try:
+            memo_key = (x, z, *[k for f, g in zip(row, col)
+                                for k in (f.cod, key(f), key(g))])
+        except NotEnumerable:
+            return self._product(x, z, row, col)
+        out = self._products.get(memo_key)
+        if out is None:
+            out = self._product(x, z, row, col)
+            exact = base.morphism_key(out)
+            if exact is None:  # an empty row over a base without exact keys
+                return out
+            out = self._canonical.setdefault(exact, out)
+            self._products[memo_key] = out
+        return out
+
+    def _product(self, x, z, row, col):
+        """The merge over ``j`` of ``col[j]`` after ``row[j]``, unmemoised."""
         base = self.base
         return ops.coarse_grain_all(base, x, z, [base.compose(g, f)
                                                  for f, g in zip(row, col)])
@@ -513,11 +541,11 @@ class QuotientTheory(Theory):
     states and effects.
 
     Each base event is signed once: signatures, and the effect rows they are
-    built from, are memoised under the event's exact key ``(dom, cod,
-    payload_key)``, and each probe homset is partitioned into classes once.
-    A base without exact keys (``payload_key`` raises ``NotEnumerable``) is
-    signed afresh on every call.  Memo entries are only ever results;
-    nothing is stored when a computation raises.
+    built from, are memoised under the event's exact key (the base's
+    ``morphism_key``), and each probe homset is partitioned into classes
+    once.  An event without an exact key (cpsu's) is signed afresh on every
+    call.  Memo entries are only ever results; nothing is stored when a
+    computation raises.
     """
 
     def __init__(self, base, bound=2, cap=20000, samples=64, seed=0,
@@ -579,15 +607,8 @@ class QuotientTheory(Theory):
                 out.append(c)
         return out
 
-    def _exact_key(self, f):
-        """The memo key of a base event, or None when the base has none."""
-        try:
-            return (f.dom, f.cod, self.base.payload_key(f))
-        except NotEnumerable:
-            return None
-
     def _memo(self, memo, f, compute):
-        key = self._exact_key(f)
+        key = self.base.morphism_key(f)
         if key is None:
             return compute(f)
         out = memo.get(key)

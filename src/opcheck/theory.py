@@ -142,7 +142,12 @@ class Theory:
         return self.payload_key(f)
 
     def morphism_key(self, f):
-        return (f.dom, f.cod, self.payload_key(f))
+        """The exact key ``(dom, cod, payload_key)`` of event ``f``, or None
+        when it has none (``payload_key`` raises ``NotEnumerable``)."""
+        try:
+            return (f.dom, f.cod, self.payload_key(f))
+        except NotEnumerable:
+            return None
 
     # -- tests and merging ------------------------------------------------
     def try_pairing(self, events):

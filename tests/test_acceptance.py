@@ -21,6 +21,7 @@ import opcheck
 from opcheck import ops
 from opcheck.checker import CHECK_IDS, ProbeConfig, classify, run_check
 from opcheck.constructions import (
+    PlusTheory,
     direct_sum_verify,
     par,
     plus_completion,
@@ -289,3 +290,14 @@ def test_13_monoidal_quotient_summary():
             assert q.is_separated(a, b)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"monoidal summary took {elapsed:.1f}s"
+
+
+def test_14_plus_substoch_grid2_matches_golden():
+    t0 = time.monotonic()
+    report = classify(PlusTheory(SubStochTheory(grid=2)),
+                      ProbeConfig(bound=2, seed=7))
+    elapsed = time.monotonic() - t0
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    golden = FIXTURES.parent / "golden" / "classify_plus_substoch_grid2.json"
+    assert text == golden.read_text()
+    assert elapsed < 30.0, f"classification took {elapsed:.1f}s"

@@ -4,9 +4,10 @@
 the outside, so a move or rename of one of them would only show as a zero
 in a traced benchmark run.  This drives the tracer over a small
 classification and a small quotient summary and checks that the wrapped
-layers were reached.  A quotient summary workload is also run once and
-checked against the benchmark's expected results, so a change of event keys
-that merges quotient classes fails here too.
+layers were reached.  The quotient summary and direct-sum completion
+workloads are also each run once and checked against the benchmark's
+expected results, so a change of event keys that merges quotient classes,
+or a memoised block product that returns a wrong entry, fails here too.
 """
 
 import json
@@ -76,10 +77,19 @@ def test_tracer_reaches_the_quotient_methods(spans):
     assert metrics["constructions.QuotientTheory.classes.calls"] > 0
 
 
-def test_quotient_summary_workload_meets_its_expected_results(workloads, tmp_path):
-    workload = workloads.WORKLOADS["quotient-summary"]
+def _failures(workloads, name, tmp_path):
+    """Run workload ``name`` once at seed 11; return its failed operations."""
+    workload = workloads.WORKLOADS[name]
     seed = 11
     path = workloads.write_inputs(workload, seed, str(tmp_path))
     subject = workloads.setup(workload, path, seed)
     doc = json.loads(workloads.operate(workload, subject, seed))
-    assert workloads.verify(workload, doc, workloads.load_expected()) == []
+    return workloads.verify(workload, doc, workloads.load_expected())
+
+
+def test_quotient_summary_workload_meets_its_expected_results(workloads, tmp_path):
+    assert _failures(workloads, "quotient-summary", tmp_path) == []
+
+
+def test_plus_classify_workload_meets_its_expected_results(workloads, tmp_path):
+    assert _failures(workloads, "plus-classify", tmp_path) == []

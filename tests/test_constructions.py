@@ -23,6 +23,7 @@ from opcheck.constructions import (
 )
 from opcheck.errors import (
     BoundExceeded,
+    Incompatible,
     NotAPartialTest,
     NotATheoryMorphism,
     NonTotalClosure,
@@ -139,11 +140,67 @@ def test_plus_zero_object_homs():
 def test_completion_of_cpsu_classifies():
     # a tolerance-based base has no exact payload keys, so the checker keys
     # completed events by the base's rounded block keys
-    report = classify(PlusTheory(CpsuTheory()),
-                      ProbeConfig(bound=1, samples=6, seed=7))
+    plus = PlusTheory(CpsuTheory())
+    report = classify(plus, ProbeConfig(bound=1, samples=6, seed=7))
     assert not report.any_failures
     assert len(report.flags) == 7
     assert all(v is True for v in report.flags.values()), report.flags
+    # nor does the block product memoise an entry, not even the zero of an
+    # empty row, whose memo key reads no base key
+    assert not plus._products and not plus._canonical
+
+
+def _reference_product(base, g, f):
+    """The grid of ``g`` after ``f`` straight from base composes, no memo."""
+    cols = list(zip(*g.payload)) if g.payload else [()] * len(g.cod)
+    return [[ops.coarse_grain_all(base, x, z, [base.compose(h, e)
+                                               for e, h in zip(row, col)])
+             for z, col in zip(g.cod, cols)]
+            for x, row in zip(f.dom, f.payload)]
+
+
+@pytest.fixture(params=["substoch", "pfun", "mat_bool", "stateless"])
+def memo_plus(request):
+    if request.param == "substoch":
+        return PlusTheory(SubStochTheory(grid=1))
+    if request.param == "pfun":
+        return PlusTheory(PFunTheory())
+    if request.param == "mat_bool":
+        return PlusTheory(MatrixTheory(BOOLEANS, grid=1))
+    # objects I and X both have size 1, so their events share payloads
+    return PlusTheory(load_theory(FIXTURES / "stateless.theory"))
+
+
+def test_memoised_completion_matches_unmemoised_reference(memo_plus):
+    plus, base = memo_plus, memo_plus.base
+    objs = plus.probe_objects(2)
+    homs = {(a, b): plus.enumerate_hom(a, b) for a in objs for b in objs}
+    kept = {}
+    for (a, b), fs in homs.items():
+        for c in objs:
+            for f in fs:
+                for g in homs[(b, c)]:
+                    h = plus.compose(g, f)
+                    want = _reference_product(base, g, f)
+                    assert plus.payload_key(h) == tuple(
+                        tuple(base.payload_key(e) for e in row) for row in want)
+                    assert [[repr(e) for e in row] for row in want] == [
+                        [repr(e) for e in row] for row in h.payload]
+                    for e in (e for row in h.payload for e in row):
+                        # equal entries are one base event
+                        assert kept.setdefault(base.morphism_key(e), e) is e
+    assert plus._products and plus._canonical
+
+
+def test_completion_stores_no_entry_when_the_product_raises():
+    sub = SubStochTheory(grid=1)
+    plus = PlusTheory(sub)
+    one = sub.identity(1)
+    # a row that is not a partial test: its entries do not merge
+    f = plus._m((1,), (1, 1), [[one, one]])
+    with pytest.raises(Incompatible):
+        plus.compose(plus.discard((1, 1)), f)
+    assert not plus._products and not plus._canonical
 
 
 @pytest.mark.parametrize("check_id", ["lemma2.3-iii", "separation"])

@@ -39,6 +39,12 @@ witnesses print morphisms of the completion.
 All fifteen files were recorded again when ``tol`` and ``ancilla_bound``,
 which no run read, were dropped from the reported ``config``; nothing else
 in them changed.
+
+``classify_plus_substoch_grid2.json`` is the report of
+``classify(PlusTheory(SubStochTheory(grid=2)), ProbeConfig(bound=2, seed=7))``,
+recorded before the completion memoised the entries of its block products.
+It takes several seconds, so ``test_14`` in ``test_acceptance.py`` compares
+it, under a wall-clock budget, rather than this module.
 """
 
 import json
