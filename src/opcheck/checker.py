@@ -366,6 +366,22 @@ def _capped_product(run, *pools):
     yield from product(*pools)
 
 
+def _per_event(fn):
+    """``fn`` computed at most once per event, on the event's first use.
+
+    Events are keyed by identity, so the memo belongs to one scan: it keeps
+    each event it has seen alive, and a capped scan computes no more than
+    it reaches."""
+    memo = {}
+
+    def once(f):
+        hit = memo.get(id(f))
+        if hit is None:
+            hit = memo[id(f)] = (f, fn(f))
+        return hit[1]
+    return once
+
+
 def _unless_skipped(*hss):
     """The homsets, or None when any was skipped.  The caller fetches them
     all first, so every skip is recorded."""
@@ -444,11 +460,12 @@ def check_coarse_graining(run):
             if post:
                 k = run.pick(post)
                 lhs = th.compose(k, fg)
-                if th.try_pairing([th.compose(k, f), th.compose(k, g)]) is None:
+                kf, kg = th.compose(k, f), th.compose(k, g)
+                if th.try_pairing([kf, kg]) is None:
                     run.fail("k.(f v g) defined but k.f, k.g do not merge",
                              {"f": f, "g": g, "k": k}, repr(lhs), "undefined")
                     return
-                rhs = ops.coarse_grain(th.compose(k, f), th.compose(k, g))
+                rhs = ops.coarse_grain(kf, kg)
                 if not run.check_eq(lhs, rhs, "k.(f v g) = k.f v k.g",
                                     {"f": f, "g": g, "k": k}):
                     return
@@ -652,11 +669,12 @@ def check_c4_distributivity(run):
             h = run.pick(hs)
             run.tick()
             lhs = th.tensor(h, ops.coarse_grain(f, g))
-            if th.try_pairing([th.tensor(h, f), th.tensor(h, g)]) is None:
+            hf, hg = th.tensor(h, f), th.tensor(h, g)
+            if th.try_pairing([hf, hg]) is None:
                 run.fail("h x (f v g) defined but h x f, h x g do not merge",
                          {"f": f, "g": g, "h": h}, repr(lhs), "undefined")
                 return
-            rhs = ops.coarse_grain(th.tensor(h, f), th.tensor(h, g))
+            rhs = ops.coarse_grain(hf, hg)
             if not run.check_eq(lhs, rhs, "h x (f v g) = (h x f) v (h x g)",
                                 {"f": f, "g": g, "h": h}):
                 return
@@ -871,10 +889,10 @@ def check_combining(run):
     for a in run.probes():
         top = th.discard(a)
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
-        for b, c, (fs, gs) in run.homsets(run.squares(), legs):
+        for _, _, (fs, gs) in run.homsets(run.squares(), legs):
+            observe = _per_event(lambda f: th.compose(th.discard(f.cod), f))
             for f, g in _capped_product(run, fs, gs):
-                ef = th.compose(th.discard(b), f)
-                eg = th.compose(th.discard(c), g)
+                ef, eg = observe(f), observe(g)
                 if th.try_pairing([ef, eg]) is None:
                     continue
                 if not th.equal(ops.coarse_grain(ef, eg), top):
@@ -892,12 +910,11 @@ def check_observations(run):
     th = run.theory
     for a in run.probes():
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
-        for b, c, (fs, gs) in run.homsets(run.squares(), legs):
+        for _, _, (fs, gs) in run.homsets(run.squares(), legs):
+            observe = _per_event(lambda f: th.compose(th.discard(f.cod), f))
             for f, g in _capped_product(run, fs, gs):
                 run.tick()
-                ef = th.compose(th.discard(b), f)
-                eg = th.compose(th.discard(c), g)
-                observable = th.try_pairing([ef, eg]) is not None
+                observable = th.try_pairing([observe(f), observe(g)]) is not None
                 paired = th.try_pairing([f, g]) is not None
                 if observable != paired:
                     run.fail("pairing exists iff the observations merge",
@@ -999,8 +1016,8 @@ def check_separation(run):
             run.notes.add("scan-skipped-over-cap")
             continue
         clash = _first_clash(run, hs, lambda f: tuple(
-            th.rounded_key(th.compose(e, th.compose(f, w)))
-            for w in states for e in effects))
+            th.rounded_key(th.compose(e, fw))
+            for fw in [th.compose(f, w) for w in states] for e in effects))
         if clash:
             g, f = clash
             run.fail("probes separate parallel events",

@@ -13,6 +13,12 @@ identities sum below the identity in every row.
 
 Comparisons are tolerance-based; positivity goes through the eigensolver on
 the flattened block, so validity is decided up to the configured ``tol``.
+A one-dimensional block is its own eigenvalue, so it skips the eigensolver
+(:func:`opcheck.kernel.min_eigenvalue`).
+
+An event keeps the unital image of each of its entries in ``Morphism.form``,
+filled on first use; a pairing assembles its rows' images from its events'
+images and decides sub-unitality from them.
 """
 
 from __future__ import annotations
@@ -137,42 +143,70 @@ class CpsuTheory(BlockMatrices):
         return acc
 
     # -- tests and merging -------------------------------------------------
-    def _first_excess(self, f):
-        """``(i, defect)`` for the first row ``i`` whose unital images do not
-        sum below the identity, or None when every row is sub-unital."""
-        for i, (d, row) in enumerate(zip(f.dom, f.payload)):
+    @staticmethod
+    def _images(f):
+        """The unital image of each entry of ``f``, row by row: block
+        ``(i, j)`` sends the identity of block ``j`` to this ``d_i``-square
+        matrix.  Computed on first use and kept in ``f.form``."""
+        images = f.form
+        if images is None:
+            images = f.form = tuple(
+                tuple(np.einsum("kakb->ab", c) for c in row)
+                for row in f.payload)
+        return images
+
+    def _first_excess(self, dom, images):
+        """``(i, defect)`` for the first row ``i`` whose unital ``images`` do
+        not sum below the identity, or None when every row is sub-unital."""
+        for i, (d, row) in enumerate(zip(dom, images)):
             img = np.zeros((d, d), dtype=complex)
-            for c in row:
-                img += np.einsum("kakb->ab", c)
+            for im in row:
+                img += im
             defect = _eye(d) - img
             if not kernel.choi_positivity(defect, self.tol):
                 return i, defect
         return None
 
     def try_pairing(self, events):
+        # the paired rows' images are the events' images side by side, so
+        # a family that is not sub-unital is refused before its grid is built
+        dom = events[0].dom
+        per_event = [self._images(f) for f in events]
+        images = tuple(tuple(im for rows in per_event for im in rows[i])
+                       for i in range(len(dom)))
+        if self._first_excess(dom, images):
+            return None
         paired = super().try_pairing(events)
-        return None if self._first_excess(paired) else paired
+        paired.form = images
+        return paired
 
     # -- sampling ----------------------------------------------------------
     def sample_hom(self, a, b, rng):
         np_rng = np.random.default_rng(rng.getrandbits(64))
+        # block (i, j) takes four (e, d) draws, in block order: the real and
+        # imaginary parts of one Kraus operator, then of a second
+        normals = np_rng.normal(size=4 * sum(a) * sum(b))
+        at = 0
         blocks = []
         for d in a:
             row = []
             for e in b:
-                k1 = np_rng.normal(size=(e, d)) + 1j * np_rng.normal(size=(e, d))
-                k2 = np_rng.normal(size=(e, d)) + 1j * np_rng.normal(size=(e, d))
+                k = normals[at:at + 4 * e * d].reshape(4, e, d)
+                at += 4 * e * d
+                k1 = k[0] + 1j * k[1]
+                k2 = k[2] + 1j * k[3]
                 c = (np.einsum("ka,lb->kalb", k1.conj(), k1)
                      + np.einsum("ka,lb->kalb", k2.conj(), k2))
                 row.append(c)
             blocks.append(row)
         # scale each domain block so the unital images sum below identity
+        peaks = np_rng.uniform(0.1, 1.0, size=len(a))
         for i, d in enumerate(a):
             img = np.zeros((d, d), dtype=complex)
             for c in blocks[i]:
                 img += np.einsum("kakb->ab", c)
             top = kernel.min_eigenvalue(-img)
-            scale = np_rng.uniform(0.1, 1.0) / max(-top, 1e-12)
+            scale = peaks[i] / max(-top, 1e-12)
             blocks[i] = [c * scale for c in blocks[i]]
         return self._m(a, b, blocks)
 
@@ -201,7 +235,7 @@ class CpsuTheory(BlockMatrices):
                 checked.append(c)
             blocks.append(checked)
         m = self._m(dom, cod, blocks)
-        excess = self._first_excess(m)
+        excess = self._first_excess(dom, self._images(m))
         if excess:
             i, defect = excess
             raise NotSubUnital(

@@ -419,8 +419,14 @@ def is_hermitian(m, tol=DEFAULT_TOL):
 
 
 def min_eigenvalue(m):
+    """The least eigenvalue of the Hermitian matrix ``m``, read from its
+    lower triangle.  A 1-by-1 matrix's eigenvalue is the real part of its
+    entry, which is what the eigensolver returns for it."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape == (1, 1):
+        return float(m[0, 0].real)
     try:
-        return float(np.linalg.eigvalsh(np.asarray(m, dtype=complex)).min())
+        return float(np.linalg.eigvalsh(m).min())
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
 

@@ -25,9 +25,10 @@ class Morphism:
     rational instances, tolerance-based for the operator instance), so
     morphisms of different theories never compare equal.
 
-    ``form`` is None or a canonical form of the payload that the owning
-    theory derives and keeps (the rational matrices keep their integer
-    form there); it never changes what the morphism is.
+    ``form`` is None or a value that the owning theory derives from the
+    payload alone and keeps: the rational matrices keep their integer form
+    there, and cpsu the unital image of each entry.  It never changes what
+    the morphism is.
     """
 
     __slots__ = ("theory", "dom", "cod", "payload", "form")

@@ -4,10 +4,11 @@
 the outside, so a move or rename of one of them would only show as a zero
 in a traced benchmark run.  This drives the tracer over a small
 classification and a small quotient summary and checks that the wrapped
-layers were reached.  The quotient summary and direct-sum completion
-workloads are also each run once and checked against the benchmark's
+layers were reached.  The quotient summary, direct-sum completion and
+cpsu workloads are also each run once and checked against the benchmark's
 expected results, so a change of event keys that merges quotient classes,
-or a memoised block product that returns a wrong entry, fails here too.
+a memoised block product that returns a wrong entry, or a cached cpsu
+image that decides a pairing wrongly, fails here too.
 """
 
 import json
@@ -93,3 +94,7 @@ def test_quotient_summary_workload_meets_its_expected_results(workloads, tmp_pat
 
 def test_plus_classify_workload_meets_its_expected_results(workloads, tmp_path):
     assert _failures(workloads, "plus-classify", tmp_path) == []
+
+
+def test_cpsu_classify_workload_meets_its_expected_results(workloads, tmp_path):
+    assert _failures(workloads, "cpsu-classify", tmp_path) == []

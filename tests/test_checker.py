@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -222,6 +223,135 @@ def test_corrupted_composition_is_caught_with_witness():
     assert result.verdict == "fails"
     assert result.witness is not None
     assert result.witness.replay()
+
+
+# Mutants: each wraps substochastic matrices and breaks one law that a pair
+# or signature scan checks, so the scan's failure branch runs.  The witness
+# each one gives was recorded before those scans were made to compute each
+# event's composites once; it must not move.
+
+HALF = Fraction(1, 2)
+
+
+def _has_half(f):
+    return any(x == HALF for row in f.payload for x in row)
+
+
+def _is(f, dom, cod, rows):
+    return (f.dom, f.cod, f.payload) == (dom, cod, rows)
+
+
+class _RefusesOnePairing(SubStochTheory):
+    """Refuses to pair the event [1, 0] : 1 -> 2 with the zero scalar,
+    though their discard composites merge to discarding (Axiom 3)."""
+
+    def try_pairing(self, events):
+        if len(events) == 2 and _is(events[0], 1, 2, ((1, 0),)) \
+                and _is(events[1], 1, 1, ((0,),)):
+            return None
+        return super().try_pairing(events)
+
+
+class _RefusesOneObservation(SubStochTheory):
+    """Refuses to merge discarding with the zero effect on the trivial
+    object, though events with those observations pair (Axiom 2)."""
+
+    def try_pairing(self, events):
+        if len(events) == 2 and _is(events[0], 1, 1, ((1,),)) \
+                and _is(events[1], 1, 1, ((0,),)):
+            return None
+        return super().try_pairing(events)
+
+
+class _ConfusesTwoEvents(SubStochTheory):
+    """Reads the event [1, 0] : 1 -> 2 as [0, 1] in every composite, so no
+    state and effect tell the two apart (separation)."""
+
+    def compose(self, g, f):
+        other = self._m(1, 2, [[Fraction(0), Fraction(1)]])
+        g, f = (other if _is(h, 1, 2, ((1, 0),)) else h for h in (g, f))
+        return super().compose(g, f)
+
+
+class _HalvesAnnihilate(SubStochTheory):
+    """Composing two events that each have an entry 1/2 gives zero, so
+    composition does not distribute over merging (Assumption 3)."""
+
+    def compose(self, g, f):
+        if _has_half(g) and _has_half(f):
+            return self.zero_morphism(f.dom, g.cod)
+        return super().compose(g, f)
+
+
+class _HalvesTensorToZero(SubStochTheory):
+    """The tensor of two events that each have an entry 1/2 is zero, so the
+    tensor does not distribute over merging (Def. 3.3 condition 4)."""
+
+    def tensor(self, f, g):
+        if _has_half(f) and _has_half(g):
+            return self.zero_morphism(self.tensor_obj(f.dom, g.dom),
+                                      self.tensor_obj(f.cod, g.cod))
+        return super().tensor(f, g)
+
+
+MUTANTS = {
+    "axiom-combining": (_RefusesOnePairing(grid=1), {
+        "equation": "complementary normalizations admit a joint test",
+        "parts": {
+            "f": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
+            "g": "Morphism(substoch: 1 -> 1, ((Fraction(0, 1),),))",
+        },
+        "lhs": "discard",
+        "rhs": "no pairing",
+    }),
+    "axiom-observations": (_RefusesOneObservation(grid=1), {
+        "equation": "pairing exists iff the observations merge",
+        "parts": {
+            "f": "Morphism(substoch: 1 -> 1, ((Fraction(1, 1),),))",
+            "g": "Morphism(substoch: 1 -> 0, ((),))",
+        },
+        "lhs": "observations merge: False",
+        "rhs": "pairing exists: True",
+    }),
+    "separation": (_ConfusesTwoEvents(grid=1), {
+        "equation": "probes separate parallel events",
+        "parts": {
+            "f": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
+            "g": "Morphism(substoch: 1 -> 2, ((Fraction(0, 1), Fraction(1, 1)),))",
+        },
+        "lhs": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
+        "rhs": "Morphism(substoch: 1 -> 2, ((Fraction(0, 1), Fraction(1, 1)),))",
+    }),
+    "assumption3-coarse-graining": (_HalvesAnnihilate(grid=2), {
+        "equation": "k.(f v g) = k.f v k.g",
+        "parts": {
+            "f": "Morphism(substoch: 1 -> 2, ((Fraction(0, 1), Fraction(1, 2)),))",
+            "g": "Morphism(substoch: 1 -> 2, ((Fraction(0, 1), Fraction(1, 2)),))",
+            "k": "Morphism(substoch: 2 -> 1, ((Fraction(0, 1),), (Fraction(1, 2),)))",
+        },
+        "lhs": "Morphism(substoch: 1 -> 1, ((Fraction(1, 2),),))",
+        "rhs": "Morphism(substoch: 1 -> 1, ((Fraction(0, 1),),))",
+    }),
+    "def3.3-c4": (_HalvesTensorToZero(grid=2), {
+        "equation": "h x (f v g) = (h x f) v (h x g)",
+        "parts": {
+            "f": "Morphism(substoch: 2 -> 1, ((Fraction(0, 1),), (Fraction(1, 2),)))",
+            "g": "Morphism(substoch: 2 -> 1, ((Fraction(0, 1),), (Fraction(1, 2),)))",
+            "h": "Morphism(substoch: 2 -> 1, ((Fraction(1, 2),), (Fraction(1, 2),)))",
+        },
+        "lhs": "Morphism(substoch: 4 -> 1, ((Fraction(0, 1),), (Fraction(1, 2),), (Fraction(0, 1),), (Fraction(1, 2),)))",
+        "rhs": "Morphism(substoch: 4 -> 1, ((Fraction(0, 1),), (Fraction(0, 1),), (Fraction(0, 1),), (Fraction(0, 1),)))",
+    }),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(MUTANTS))
+def test_a_mutant_fails_its_check_with_the_recorded_witness(check_id):
+    mutant, witness = MUTANTS[check_id]
+    result = run_check(mutant, ProbeConfig(bound=2, seed=7), check_id)
+    assert result.verdict == "fails"
+    assert result.witness.replay()
+    assert result.witness.to_json() == witness
 
 
 def test_quotient_classifies_through_its_signature_key():

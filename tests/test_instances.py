@@ -1,11 +1,14 @@
 """The four concrete instances: enumeration counts, validation, structure."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from opcheck import ops
+from opcheck.blocks import BlockMatrices
 from opcheck.errors import (
     ChoiNotPositive,
     EntryOutOfRange,
@@ -21,7 +24,7 @@ from opcheck.instances import (
     PFunTheory,
     SubStochTheory,
 )
-from opcheck.kernel import BOOLEANS, INTEGERS
+from opcheck.kernel import BOOLEANS, INTEGERS, choi_positivity
 
 F = Fraction
 
@@ -149,6 +152,102 @@ def test_cpsu_discard_and_pairing():
     halves = cpsu._m((2,), (1,), [[0.5 * np.eye(2).reshape(1, 2, 1, 2)]])
     assert cpsu.try_pairing([halves, halves]) is not None
     assert cpsu.try_pairing([top, halves]) is None
+
+
+def _reference_sample(a, b, rng):
+    """The blocks of ``CpsuTheory.sample_hom``, drawn block by block and
+    scaled through the eigensolver."""
+    np_rng = np.random.default_rng(rng.getrandbits(64))
+    blocks = []
+    for d in a:
+        row = []
+        for e in b:
+            k1 = np_rng.normal(size=(e, d)) + 1j * np_rng.normal(size=(e, d))
+            k2 = np_rng.normal(size=(e, d)) + 1j * np_rng.normal(size=(e, d))
+            row.append(np.einsum("ka,lb->kalb", k1.conj(), k1)
+                       + np.einsum("ka,lb->kalb", k2.conj(), k2))
+        blocks.append(row)
+    for i, d in enumerate(a):
+        img = np.zeros((d, d), dtype=complex)
+        for c in blocks[i]:
+            img += np.einsum("kakb->ab", c)
+        top = float(np.linalg.eigvalsh(-img).min())
+        scale = np_rng.uniform(0.1, 1.0) / max(-top, 1e-12)
+        blocks[i] = [c * scale for c in blocks[i]]
+    return blocks
+
+
+def test_cpsu_sample_hom_matches_the_block_by_block_draws():
+    cpsu = CpsuTheory()
+    objs = cpsu.probe_objects(2) + [(3,), (2, 1)]
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for a, b in product(objs, objs):
+            f = cpsu.sample_hom(a, b, rng)
+            want = _reference_sample(a, b, ref_rng)
+            assert len(f.payload) == len(want)
+            for row, ref_row in zip(f.payload, want):
+                assert len(row) == len(ref_row)
+                assert all(np.array_equal(c, ref) for c, ref in zip(row, ref_row))
+
+
+def _reference_images(f):
+    """The unital image of each entry of ``f``, recomputed from its payload."""
+    return [[np.einsum("kakb->ab", c) for c in row] for row in f.payload]
+
+
+def _reference_sub_unital(cpsu, f):
+    """Whether every row of ``f``'s images, recomputed from its payload and
+    summed in row order, lies below the identity."""
+    for d, row in zip(f.dom, _reference_images(f)):
+        img = np.zeros((d, d), dtype=complex)
+        for im in row:
+            img += im
+        if not choi_positivity(np.eye(d, dtype=complex) - img, cpsu.tol):
+            return False
+    return True
+
+
+def _assert_images_cached(f):
+    want = _reference_images(f)
+    assert [len(row) for row in f.form] == [len(row) for row in want]
+    for row, ref_row in zip(f.form, want):
+        assert all(np.array_equal(im, ref) for im, ref in zip(row, ref_row))
+
+
+def test_cpsu_pairing_agrees_with_images_recomputed_from_payloads():
+    cpsu = CpsuTheory()
+    objs = cpsu.probe_objects(2)
+    rng = random.Random(3)
+    verdicts = set()
+    for a, b, c in product(objs, objs, objs):
+        for _ in range(3):
+            f, g = cpsu.sample_hom(a, b, rng), cpsu.sample_hom(a, c, rng)
+            # the grids side by side, before any sub-unitality decision
+            side = BlockMatrices.try_pairing(cpsu, [f, g])
+            paired = cpsu.try_pairing([f, g])
+            verdicts.add(paired is not None)
+            _assert_images_cached(f)
+            assert (paired is not None) == _reference_sub_unital(cpsu, side)
+            if paired is None:
+                continue
+            assert cpsu.equal(paired, side, tol=0)
+            _assert_images_cached(paired)
+            # a pairing that reuses the accepted event's cached images
+            again = cpsu.try_pairing([paired, f])
+            assert (again is not None) == _reference_sub_unital(
+                cpsu, BlockMatrices.try_pairing(cpsu, [paired, f]))
+            # derived events compute their own images, on first use
+            back = cpsu.sample_hom(b, a, rng)
+            assert cpsu.compose(back, f).form is None
+            assert cpsu.compose(f, cpsu.identity(a)).form is None
+            assert cpsu.tensor(paired, g).form is None
+            effect = cpsu.compose(cpsu.discard(paired.cod), paired)
+            assert effect.form is None
+            cpsu.try_pairing([effect])  # fills the effect's images
+            _assert_images_cached(effect)
+            assert all(e.form is None for e in cpsu.effect_complements(effect))
+    assert verdicts == {True, False}
 
 
 def test_finhilb_has_no_coproducts():

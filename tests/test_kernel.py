@@ -98,6 +98,27 @@ def test_matrix_helpers():
     assert not choi_positivity(-eye)
 
 
+def test_one_by_one_eigenvalues_match_the_eigensolver(monkeypatch):
+    # a 1-by-1 matrix is read without the eigensolver; its value and every
+    # positivity decision must be the eigensolver's, also at the tolerance
+    tol = 1e-9
+    cases = [np.array([[complex(real, imag)]])
+             for real in (0.0, -0.0, 1.0, -1.0, 0.3, tol, -tol, 0.5 * tol,
+                          -1.5 * tol, np.nextafter(-tol, 0),
+                          np.nextafter(-tol, -1))
+             for imag in (0.0, tol / 2, -tol / 2, np.nextafter(tol / 2, 0),
+                          np.nextafter(tol / 2, 1), 2 * tol)]
+    want = [float(np.linalg.eigvalsh(m).min()) for m in cases]
+    decisions = [is_hermitian(m, tol) and w >= -tol for m, w in zip(cases, want)]
+
+    def refuse(m):
+        raise AssertionError("a 1-by-1 matrix reached the eigensolver")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert [min_eigenvalue(m) for m in cases] == want
+    assert [choi_positivity(m, tol) for m in cases] == decisions
+    assert True in decisions and False in decisions
+
+
 # -- the semiring-matrix kernel --------------------------------------------
 
 def _outcome(fn, *args):
