@@ -39,6 +39,11 @@ from ..theory import Morphism
 
 
 def _freeze(arr):
+    """``arr`` as a read-only complex C-contiguous array: itself when it is
+    one already, as the entries of existing events are."""
+    flags = arr.flags
+    if not flags.writeable and flags.c_contiguous and arr.dtype == complex:
+        return arr
     arr = np.ascontiguousarray(arr, dtype=complex)
     arr.flags.writeable = False
     return arr

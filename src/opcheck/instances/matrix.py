@@ -8,7 +8,8 @@ row-indexed states).  An event is total when every row sums to one.
 The substochastic instance is the same structure over the nonnegative
 rationals, where the sub-unit subset is the rationals in [0, 1]; it keeps
 a denominator grid so homsets become enumerable (exhaustive relative to
-the grid).
+the grid).  Its events are :class:`RationalEvent`\ s, computed on integer
+forms, and each homset is enumerated once per theory.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from itertools import product
 
 from .. import kernel
+from ..kernel import RATIONALS01
 from ..errors import (
     BoundExceeded,
     EntryOutOfRange,
@@ -24,6 +26,43 @@ from ..errors import (
     ValidationError,
 )
 from ..theory import Morphism, Theory
+
+
+class RationalEvent(Morphism):
+    """An event of a matrix theory over :data:`kernel.RATIONALS01`, born in
+    its canonical integer form ``form`` (:func:`kernel.rational_form`).
+
+    Its ``payload``, the rows of ``Fraction``s, is given at birth or built
+    from the form when first read, and then kept.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, theory, dom, cod, form, rows=None):
+        self.theory = theory
+        self.dom = dom
+        self.cod = cod
+        self.form = form
+        if rows is not None:
+            self.payload = rows
+
+    def __getattr__(self, name):
+        # called only for a slot not yet set: the payload before its first read
+        if name != "payload":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = self.payload = kernel.rational_rows(self.form)
+        return rows
+
+
+def _form(f):
+    """The :func:`kernel.rational_form` of the rational event ``f``; an
+    event built as a plain :class:`Morphism` gets it on first use, kept in
+    ``f.form``."""
+    form = f.form
+    if form is None:
+        form = f.form = kernel.rational_form(f.payload)
+    return form
 
 
 class SemiringMatrices(Theory):
@@ -35,78 +74,87 @@ class SemiringMatrices(Theory):
     ``coproduct``, ``zero`` and ``object_str``) and ``_diagnostic``, which
     turns a kernel ``EventViolation`` into their own error.
 
-    Over :data:`kernel.RATIONALS01` an event is also held in its canonical
-    integer form: the product is computed from the factors' forms and keeps
-    its own, and ``payload_key`` is the form, so keyed lookups hash
-    integers rather than ``Fraction``s.
+    Over :data:`kernel.RATIONALS01` every event is a :class:`RationalEvent`.
+    Composition, cotupling, pairing and equality work on the integer forms,
+    and ``payload_key`` is the form, so no ``Fraction`` arithmetic is done
+    on those paths; the ``Fraction`` rows are built only where a payload is
+    read (``repr``, witnesses, JSON and theory files).
     """
 
     def _m(self, dom, cod, rows):
-        return Morphism(self, dom, cod, tuple(tuple(r) for r in rows))
+        rows = tuple(tuple(r) for r in rows)
+        if self.semiring is RATIONALS01:
+            return RationalEvent(self, dom, cod, kernel.rational_form(rows), rows)
+        return Morphism(self, dom, cod, rows)
+
+    def _zero_one(self, dom, cod, bits):
+        """The event whose matrix has the semiring's one where the rows of
+        ``bits`` have 1, and its zero where they have 0."""
+        bits = tuple(tuple(r) for r in bits)
+        s = self.semiring
+        if s is RATIONALS01:
+            return RationalEvent(self, dom, cod, (bits, 1))
+        return Morphism(self, dom, cod, tuple(
+            tuple(s.one if x else s.zero for x in r) for r in bits))
 
     def identity(self, a):
-        s = self.semiring
         n = self.object_size(a)
-        return self._m(a, a, [[s.one if i == j else s.zero for j in range(n)]
-                              for i in range(n)])
+        return self._zero_one(a, a, [[int(i == j) for j in range(n)]
+                                     for i in range(n)])
 
     def _compose(self, g, f):
         width = self.object_size(g.cod)
         try:
-            if self.semiring is kernel.RATIONALS01:
-                rows, form = kernel.rational_product(
-                    self.rational_form(f), self.rational_form(g), width)
-            else:
-                rows, form = kernel.semiring_product(
-                    self.semiring, f.payload, g.payload, width), None
+            if self.semiring is RATIONALS01:
+                return RationalEvent(self, f.dom, g.cod, kernel.rational_product(
+                    _form(f), _form(g), width))
+            rows = kernel.semiring_product(
+                self.semiring, f.payload, g.payload, width)
         except EventViolation as bad:
             raise self._diagnostic(bad) from None
-        return Morphism(self, f.dom, g.cod, rows, form)
+        return Morphism(self, f.dom, g.cod, rows)
 
     def zero_morphism(self, a, b):
-        s = self.semiring
-        return self._m(a, b, [[s.zero] * self.object_size(b)
-                              for _ in range(self.object_size(a))])
+        return self._zero_one(a, b, [[0] * self.object_size(b)
+                                     for _ in range(self.object_size(a))])
 
     def coprojection(self, summands, i):
-        s = self.semiring
         total = self.object_size(self.coproduct(summands))
         offset = self.object_size(self.coproduct(summands[:i]))
         n = self.object_size(summands[i])
-        return self._m(summands[i], self.coproduct(summands),
-                       [[s.one if c == offset + r else s.zero
-                         for c in range(total)] for r in range(n)])
+        return self._zero_one(summands[i], self.coproduct(summands),
+                              [[int(c == offset + r) for c in range(total)]
+                               for r in range(n)])
 
     def cotuple(self, summands, fs):
-        rows = []
-        for f in fs:
-            rows.extend(f.payload)
-        return self._m(self.coproduct(summands), fs[0].cod if fs else self.zero(),
-                       rows)
+        dom = self.coproduct(summands)
+        cod = fs[0].cod if fs else self.zero()
+        if self.semiring is RATIONALS01:
+            return RationalEvent(self, dom, cod,
+                                 kernel.rational_stack([_form(f) for f in fs]))
+        return Morphism(self, dom, cod,
+                        tuple(row for f in fs for row in f.payload))
 
     def equal(self, f, g, tol=None):
-        return f.dom == g.dom and f.cod == g.cod and f.payload == g.payload
+        if f.dom != g.dom or f.cod != g.cod:
+            return False
+        if self.semiring is RATIONALS01:
+            return _form(f) == _form(g)
+        return f.payload == g.payload
 
     def payload_key(self, f):
-        if self.semiring is kernel.RATIONALS01:
-            return self.rational_form(f)
+        if self.semiring is RATIONALS01:
+            return _form(f)
         return f.payload
 
-    @staticmethod
-    def rational_form(f):
-        """The :func:`kernel.rational_form` of ``f``'s rational payload,
-        computed on first use and kept in ``f.form``."""
-        form = f.form
-        if form is None:
-            form = f.form = kernel.rational_form(f.payload)
-        return form
-
     def try_pairing(self, events):
+        cod = self.coproduct(tuple(f.cod for f in events))
+        if self.semiring is RATIONALS01:
+            form = kernel.rational_side_by_side([_form(f) for f in events])
+            return None if form is None else RationalEvent(
+                self, events[0].dom, cod, form)
         rows = kernel.side_by_side(self.semiring, [f.payload for f in events])
-        if rows is None:
-            return None
-        return Morphism(self, events[0].dom,
-                        self.coproduct(tuple(f.cod for f in events)), rows)
+        return None if rows is None else Morphism(self, events[0].dom, cod, rows)
 
     def validate_event(self, payload, dom, cod):
         rows = tuple(tuple(r) for r in payload)
@@ -119,7 +167,7 @@ class SemiringMatrices(Theory):
             kernel.check_event(self.semiring, rows)
         except EventViolation as bad:
             raise self._diagnostic(bad) from None
-        return Morphism(self, dom, cod, rows)
+        return self._m(dom, cod, rows)
 
 
 class MatrixTheory(SemiringMatrices):
@@ -130,6 +178,7 @@ class MatrixTheory(SemiringMatrices):
         self.grid = grid
         self.name = name or f"mat_{semiring.name}"
         self._row_cache = {}
+        self._homs = {}
 
     # -- objects ----------------------------------------------------------
     def unit(self):
@@ -152,11 +201,17 @@ class MatrixTheory(SemiringMatrices):
 
     # -- morphisms --------------------------------------------------------
     def discard(self, a):
-        s = self.semiring
-        return self._m(a, 1, [[s.one]] * a)
+        return self._zero_one(a, 1, [[1]] * a)
 
     # -- tests and merging -------------------------------------------------
     def effect_complements(self, e):
+        if self.semiring is RATIONALS01:
+            # 1 - n/d is (d - n)/d, and d stays the least common denominator
+            numerators, d = _form(e)
+            if any(row[0] > d for row in numerators):
+                return []
+            return [RationalEvent(self, e.dom, 1, (
+                tuple((d - row[0],) for row in numerators), d))]
         s = self.semiring
         per_entry = [s.complements(e.payload[i][0]) for i in range(e.dom)]
         if any(not c for c in per_entry):
@@ -189,26 +244,58 @@ class MatrixTheory(SemiringMatrices):
             self._row_cache[key] = tuple(rows)
         return self._row_cache[key]
 
+    def _grid_numerators(self, rows):
+        """``rows`` of rationals on the grid as numerators over ``self.grid``."""
+        g = self.grid
+        return tuple(tuple(x.numerator * (g // x.denominator) for x in row)
+                     for row in rows)
+
     def hom_count(self, a, b):
         return len(self._valid_rows(b)) ** a
 
     def enumerate_hom(self, a, b, cap=None):
+        """The homset as one tuple, built on the first call for ``(a, b)``
+        on the current grid and returned again by every later one; a
+        ``cap`` below its size still raises first."""
         if cap is not None and self.hom_count(a, b) > cap:
             raise BoundExceeded(
                 f"{self.name}: hom({a},{b}) has {self.hom_count(a, b)} elements",
                 self.hom_count(a, b))
-        rows = self._valid_rows(b)
-        return [self._m(a, b, combo) for combo in product(rows, repeat=a)]
+        key = (a, b, self.grid)
+        homs = self._homs.get(key)
+        if homs is None:
+            valid = self._valid_rows(b)
+            combos = product(valid, repeat=a)
+            if self.semiring is RATIONALS01:
+                grid = self.grid
+                homs = tuple(
+                    RationalEvent(self, a, b, kernel.reduced_form(ns, grid), rows)
+                    for rows, ns in zip(combos, product(
+                        self._grid_numerators(valid), repeat=a)))
+            else:
+                homs = tuple(Morphism(self, a, b, rows) for rows in combos)
+            self._homs[key] = homs
+        return homs
 
     def sample_hom(self, a, b, rng):
         rows = self._valid_rows(b)
-        return self._m(a, b, [rows[rng.randrange(len(rows))] for _ in range(a)])
+        picked = tuple(rows[rng.randrange(len(rows))] for _ in range(a))
+        if self.semiring is RATIONALS01:
+            return RationalEvent(self, a, b, kernel.reduced_form(
+                self._grid_numerators(picked), self.grid), picked)
+        return Morphism(self, a, b, picked)
 
     # -- monoidal structure ------------------------------------------------
     def tensor_obj(self, a, b):
         return a * b
 
     def tensor(self, f, g):
+        if self.semiring is RATIONALS01:
+            (fn, fd), (gn, gd) = _form(f), _form(g)
+            return RationalEvent(self, f.dom * g.dom, f.cod * g.cod,
+                                 kernel.reduced_form(tuple(
+                                     tuple(x * y for x in frow for y in grow)
+                                     for frow in fn for grow in gn), fd * gd))
         s = self.semiring
         rows = []
         for i in range(f.dom):

@@ -4,9 +4,10 @@ complex-matrix checks.
 Exact rational values are ``fractions.Fraction``, which already keeps them
 in lowest terms with a positive denominator.  A rational matrix also has a
 canonical integer form, its numerators over their least common denominator
-(:func:`rational_form`).  The product of two rational matrices is computed
-from their forms over plain Python integers, and returns its result both as
-``Fraction``s and in that form.
+(:func:`rational_form`).  The product, the side-by-side join and the
+stacking of rational matrices are computed from their forms over plain
+Python integers and return a form only; :func:`rational_rows` turns a form
+back into ``Fraction`` rows where those are read.
 Floating point is confined to the complex-matrix helpers; every tolerance
 is passed explicitly.
 """
@@ -326,25 +327,42 @@ def rational_form(rows):
                  for row in rows), d
 
 
+def reduced_form(numerators, d):
+    """The canonical form of the rational rows ``numerators`` over ``d``:
+    both divided by their gcd, which leaves ``d`` the least common
+    denominator of the entries."""
+    g = d
+    for row in numerators:
+        g = gcd(g, *row)
+        if g == 1:
+            return numerators, d
+    return tuple(tuple(n // g for n in row) for row in numerators), d // g
+
+
+def rational_rows(form):
+    """The rows of ``Fraction``s whose :func:`rational_form` is ``form``,
+    reusing the carrier's zero and one."""
+    numerators, d = form
+    zero, one = RATIONALS01.zero, RATIONALS01.one
+    return tuple(tuple(zero if n == 0 else one if n == d else Fraction(n, d)
+                       for n in row) for row in numerators)
+
+
 def rational_product(f_form, g_form, width):
-    """:func:`semiring_product` over :data:`RATIONALS01`, computed exactly in
-    integers from the two factors' :func:`rational_form`.
+    """The :func:`rational_form` of :func:`semiring_product` over
+    :data:`RATIONALS01`, computed exactly in integers from the two factors'
+    forms.
 
     The integer product has denominator ``d``, the product of the factors'
     denominators.  A result numerator ``n`` is in the carrier iff
     ``n >= 0`` and has a complement iff ``n <= d``; a row has a complement
     iff its numerators sum to at most ``d``.  These are the checks of
     :func:`check_event`, in the same order, so both raise the same
-    violation.
-
-    Returns the product's rows of ``Fraction``s, reusing the carrier's zero
-    and one, and its form: the numerators and ``d`` divided by their gcd,
-    which leaves ``d`` the least common denominator.
+    violation.  The result is reduced by :func:`reduced_form`.
     """
     fn, fd = f_form
     gn, gd = g_form
     d = fd * gd
-    zero, one = RATIONALS01.zero, RATIONALS01.one
     accs = []
     for i, frow in enumerate(fn):
         acc = [0] * width
@@ -362,27 +380,45 @@ def rational_product(f_form, g_form, width):
             total += n
         if total > d:
             raise EventViolation("row", i, None, Fraction(total, d))
-        accs.append(acc)
-    g = gcd(d, *[n for acc in accs for n in acc])
-    if g > 1:
-        d //= g
-        accs = [[n // g for n in acc] for acc in accs]
-    rows = tuple(tuple(zero if n == 0 else one if n == d else Fraction(n, d)
-                       for n in acc) for acc in accs)
-    return rows, (tuple(map(tuple, accs)), d)
+        accs.append(tuple(acc))
+    return reduced_form(tuple(accs), d)
+
+
+def _over_lcm(forms):
+    """Each form's numerators over the least common denominator of all the
+    ``forms``, and that denominator.  As every ``d`` of a form is the least
+    common denominator of its entries, their lcm is the least one of all
+    the entries together, so a matrix assembled from these numerators is in
+    canonical form without reduction."""
+    d = lcm(*[fd for _, fd in forms])
+    return [n if fd == d else tuple(tuple(x * (d // fd) for x in row)
+                                    for row in n)
+            for n, fd in forms], d
+
+
+def rational_stack(forms):
+    """The form of the rational matrices ``forms`` stacked row by row."""
+    parts, d = _over_lcm(forms)
+    return tuple(row for n in parts for row in n), d
+
+
+def rational_side_by_side(forms):
+    """:func:`side_by_side` over :data:`RATIONALS01` on forms: the form of
+    the matrices joined row by row, or None when a joined row's numerators
+    sum past the common denominator, that is the row sums past one."""
+    parts, d = _over_lcm(forms)
+    rows = []
+    for pieces in zip(*parts):
+        row = sum(pieces, ())
+        if sum(row) > d:
+            return None
+        rows.append(row)
+    return tuple(rows), d
 
 
 def row_in_unit(semiring, row):
-    """Whether the entries of ``row`` sum into the sub-unit subset.
-
-    Over :data:`RATIONALS01` the sum is taken in integers, as numerators
-    over the row's common denominator ``d``: it is at most one iff the
-    numerators sum to at most ``d``.
-    """
+    """Whether the entries of ``row`` sum into the sub-unit subset."""
     s = semiring
-    if s is RATIONALS01:
-        d = lcm(*[x.denominator for x in row])
-        return sum([x.numerator * (d // x.denominator) for x in row]) <= d
     total = s.zero
     for x in row:
         total = s.add(total, x)

@@ -8,9 +8,12 @@ tensor.  Objects are plain hashable values whose shape is documented per
 instance; morphisms are :class:`Morphism` records tagged with their theory.
 
 All values are immutable after construction and every operation is a pure
-function, so theories may be shared freely between workers.  The one
-exception is a derived cache: a morphism's ``form`` slot, which an instance
-may fill on first use with a value computed from the payload alone.
+function, so theories may be shared freely between workers.  The
+exceptions are derived caches that never change what a value is: a
+morphism's ``form`` slot, which an instance may fill on first use with a
+value computed from the payload alone; the payload of a rational matrix
+event, which is derived from its form on first read; and an instance's
+memo of the homsets it has enumerated.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ class Morphism:
     morphisms of different theories never compare equal.
 
     ``form`` is None or a value that the owning theory derives from the
-    payload alone and keeps: the rational matrices keep their integer form
-    there, and cpsu the unital image of each entry.  It never changes what
-    the morphism is.
+    payload alone and keeps: cpsu keeps the unital image of each entry
+    there.  It never changes what the morphism is.  A rational matrix event
+    (``instances.matrix.RationalEvent``) turns this around: it is born with
+    its canonical integer form, and its payload of ``Fraction`` rows is
+    derived from that form on first read.
     """
 
     __slots__ = ("theory", "dom", "cod", "payload", "form")

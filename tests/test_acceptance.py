@@ -87,7 +87,10 @@ def test_02_pfun_positive_fixture(pfun_report):
 
 def test_02_substoch_positive_fixture(substoch_report):
     report, elapsed = substoch_report
-    assert elapsed < 40.0
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    golden = FIXTURES.parent / "golden" / "classify_substoch_grid6_bound3.json"
+    assert text == golden.read_text()
+    assert elapsed < 25.0, f"classification took {elapsed:.1f}s"
     assert report.flags["effectus"] is True
     for cid in DEF_CONDITIONS:
         assert report.result(cid).verdict == "holds-exhaustive", cid

@@ -4,11 +4,13 @@
 the outside, so a move or rename of one of them would only show as a zero
 in a traced benchmark run.  This drives the tracer over a small
 classification and a small quotient summary and checks that the wrapped
-layers were reached.  The quotient summary, direct-sum completion and
-cpsu workloads are also each run once and checked against the benchmark's
-expected results, so a change of event keys that merges quotient classes,
-a memoised block product that returns a wrong entry, or a cached cpsu
-image that decides a pairing wrongly, fails here too.
+layers were reached.  Every workload of the benchmark (the substochastic
+classification, the quotient summary, the direct-sum completion and cpsu)
+is also run once and checked against the benchmark's expected results, so
+a change of event keys that merges quotient classes, an integer form that
+decides a pairing or an equality wrongly, a memoised block product that
+returns a wrong entry, or a cached cpsu image that decides a pairing
+wrongly, fails here too.
 """
 
 import json
@@ -86,6 +88,10 @@ def _failures(workloads, name, tmp_path):
     subject = workloads.setup(workload, path, seed)
     doc = json.loads(workloads.operate(workload, subject, seed))
     return workloads.verify(workload, doc, workloads.load_expected())
+
+
+def test_substoch_classify_workload_meets_its_expected_results(workloads, tmp_path):
+    assert _failures(workloads, "substoch-classify", tmp_path) == []
 
 
 def test_quotient_summary_workload_meets_its_expected_results(workloads, tmp_path):

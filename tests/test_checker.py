@@ -153,6 +153,17 @@ def test_over_cap_homsets_are_skipped_not_sampled():
     assert len(result.skipped) == 3
 
 
+def test_kept_homsets_do_not_bypass_a_tighter_cap():
+    """Homsets a run at the default cap enumerated and kept are still
+    skipped by a later run under a cap they pass."""
+    sub = SubStochTheory(grid=2)
+    classify(sub, ProbeConfig(bound=2))
+    result = run_check(sub, ProbeConfig(bound=2, samples=10, cap=5),
+                       "cat-identity")
+    assert result.verdict == "holds-exhaustive"
+    assert len(result.skipped) == 3
+
+
 def test_relaxed_equality_retry():
     cpsu = CpsuTheory()
     i2 = cpsu.identity((2,))

@@ -45,6 +45,14 @@ in them changed.
 recorded before the completion memoised the entries of its block products.
 It takes several seconds, so ``test_14`` in ``test_acceptance.py`` compares
 it, under a wall-clock budget, rather than this module.
+
+``classify_substoch_grid6_bound3.json`` is the report of
+``classify(SubStochTheory(grid=6), ProbeConfig(bound=3, samples=40))``,
+recorded before rational events came to be computed on their integer forms
+and each matrix homset to be enumerated once per theory.  The
+``substoch_report`` fixture of ``test_acceptance.py`` already builds this
+report, so ``test_02_substoch_positive_fixture`` compares it there, under
+a wall-clock budget, rather than this module.
 """
 
 import json

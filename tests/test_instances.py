@@ -10,6 +10,7 @@ import pytest
 from opcheck import ops
 from opcheck.blocks import BlockMatrices
 from opcheck.errors import (
+    BoundExceeded,
     ChoiNotPositive,
     EntryOutOfRange,
     NotAvailable,
@@ -24,6 +25,7 @@ from opcheck.instances import (
     PFunTheory,
     SubStochTheory,
 )
+from opcheck.instances import cpsu as cpsu_module
 from opcheck.kernel import BOOLEANS, INTEGERS, choi_positivity
 
 F = Fraction
@@ -86,6 +88,21 @@ def test_matrix_enumeration_counts():
     # (0,1),(1,0),(1/2,1/2)
     assert sub.hom_count(1, 2) == 6
     assert len(sub.enumerate_hom(2, 1)) == 9
+
+
+def test_each_homset_is_enumerated_once():
+    """A homset is built on its first enumeration and the same tuple is
+    returned after; a cap below its size still raises, and a new grid
+    gets its own homset."""
+    sub = SubStochTheory(grid=2)
+    homs = sub.enumerate_hom(2, 2, 100)
+    assert isinstance(homs, tuple) and len(homs) == 36
+    assert sub.enumerate_hom(2, 2) is homs
+    assert sub.enumerate_hom(2, 2, 36) is homs
+    with pytest.raises(BoundExceeded):
+        sub.enumerate_hom(2, 2, 35)
+    sub.grid = 3
+    assert len(sub.enumerate_hom(2, 2)) == 100
 
 
 def test_integer_matrices_include_negatives():
@@ -248,6 +265,43 @@ def test_cpsu_pairing_agrees_with_images_recomputed_from_payloads():
             _assert_images_cached(effect)
             assert all(e.form is None for e in cpsu.effect_complements(effect))
     assert verdicts == {True, False}
+
+
+def _frozen(f):
+    return all(not c.flags.writeable and c.flags.c_contiguous
+               and c.dtype == complex for row in f.payload for c in row)
+
+
+def test_cpsu_reuses_frozen_entries_and_freezes_every_entry(monkeypatch):
+    cpsu = CpsuTheory()
+    rng = random.Random(5)
+    a, b, c = (1, 2), (2,), (1, 1)
+    f, g = cpsu.sample_hom(a, b, rng), cpsu.sample_hom(a, c, rng)
+    h = cpsu.sample_hom(c, b, rng)
+    zero = cpsu.zero_morphism(a, c)
+    for d in a:
+        cpsu_module._eye(d)  # the shared identities, built once per process
+    # a cotuple and a pairing of frozen entries freeze nothing again
+    copies = []
+    real = np.ascontiguousarray
+    monkeypatch.setattr(np, "ascontiguousarray",
+                        lambda *args, **kw: copies.append(1) or real(*args, **kw))
+    cotuple = cpsu.cotuple((a, c), [f, h])
+    paired = cpsu.try_pairing([f, zero])
+    monkeypatch.undo()
+    assert copies == []
+    assert all(x is y for got, want in zip(cotuple.payload, f.payload + h.payload)
+               for x, y in zip(got, want))
+    assert all(x is y for got, fr, zr in zip(paired.payload, f.payload, zero.payload)
+               for x, y in zip(got, fr + zr))
+    effect = cpsu.compose(cpsu.discard(b), f)
+    events = [f, g, h, cotuple, zero, paired, effect,
+              cpsu.identity(a), cpsu.coprojection((a, c), 1), cpsu.discard(a),
+              cpsu.tensor(f, g), cpsu.compose(h, g), cpsu.unitor_left(a),
+              cpsu.unitor_right(a), cpsu.unitor_right_inv(a),
+              cpsu.validate_event(f.payload, a, b),
+              *cpsu.effect_complements(effect)]
+    assert all(_frozen(e) for e in events)
 
 
 def test_finhilb_has_no_coproducts():

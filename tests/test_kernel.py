@@ -1,6 +1,7 @@
 """Semiring carriers, rational parsing, the semiring-matrix kernel and the
 complex-matrix helpers."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from opcheck.errors import EventViolation, OpcheckError, SemiringLawError
 from opcheck.instances import SubStochTheory
+from opcheck.instances.matrix import RationalEvent
 from opcheck.kernel import (
     BOOLEANS,
     BUILTIN_SEMIRINGS,
@@ -25,6 +27,9 @@ from opcheck.kernel import (
     parse_rational,
     rational_form,
     rational_product,
+    rational_rows,
+    rational_side_by_side,
+    rational_stack,
     rational_str,
     row_in_unit,
     semiring_complements,
@@ -176,9 +181,11 @@ def test_rational_product_matches_the_fraction_reference(chain):
     mats, dims = chain
     acc = mats[0]
     for mat, width in zip(mats[1:], dims[2:]):
-        fast, _ = rational_product(rational_form(acc), rational_form(mat),
-                                   width)
-        assert fast == semiring_product(RATIONALS01, acc, mat, width)
+        form = rational_product(rational_form(acc), rational_form(mat), width)
+        want = semiring_product(RATIONALS01, acc, mat, width)
+        assert form == rational_form(want)
+        fast = rational_rows(form)
+        assert fast == want
         assert repr(fast) == repr(_naive_product(RATIONALS01, acc, mat, width))
         acc = fast
 
@@ -220,6 +227,132 @@ def test_identity_composites_keep_the_payload_key(data):
                 == sub.payload_key(Morphism(sub, a, c, gf.payload)))
 
 
+# -- the form path against the Fraction reference ----------------------------
+
+_grids = st.integers(min_value=1, max_value=6)
+_sizes = st.integers(min_value=0, max_value=3)
+
+
+def _side_by_side_reference(matrices):
+    """Pairing on ``Fraction`` rows: the rows joined, or None when a joined
+    row sums past one."""
+    rows = tuple(tuple(x for m in parts for x in m) for parts in zip(*matrices))
+    if all(sum(row, Fraction(0)) <= 1 for row in rows):
+        return rows
+    return None
+
+
+def _tensor_reference(f_rows, g_rows):
+    """The Kronecker product of ``Fraction`` rows by ``RATIONALS01.mul``."""
+    mul = RATIONALS01.mul
+    return tuple(tuple(mul(x, y) for x in frow for y in grow)
+                 for frow in f_rows for grow in g_rows)
+
+
+@st.composite
+def _families(draw, common_rows=True):
+    """Matrices with a common number of rows (or of columns), each on its
+    own grid."""
+    common = draw(_sizes)
+    others = draw(st.lists(_sizes, min_size=1, max_size=3))
+    return [draw(_substochastic(common, m, draw(_grids)) if common_rows
+                 else _substochastic(m, common, draw(_grids)))
+            for m in others]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families())
+def test_form_pairing_matches_the_fraction_reference(mats):
+    """The forms side by side give the reference rows, and refuse the
+    same pairings."""
+    want = _side_by_side_reference(mats)
+    paired = rational_side_by_side([rational_form(m) for m in mats])
+    assert (paired is None) == (want is None)
+    if want is not None:
+        assert paired == rational_form(want)
+        assert rational_rows(paired) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families(common_rows=False))
+def test_form_stacking_matches_row_concatenation(mats):
+    want = tuple(row for m in mats for row in m)
+    stacked = rational_stack([rational_form(m) for m in mats])
+    assert stacked == rational_form(want)
+    assert rational_rows(stacked) == want
+
+
+def _born_events(sub, data):
+    """Events of ``sub`` built every way a substochastic event is born,
+    each with the ``Fraction`` rows it must have (None where the
+    reference is the payload itself)."""
+    a, b, c = (data.draw(_sizes) for _ in range(3))
+
+    def drawn(n, m):
+        rows = data.draw(_substochastic(n, m, data.draw(_grids)))
+        return sub.validate_event(rows, n, m)
+    f, h, g, k = drawn(a, b), drawn(c, b), drawn(a, c), drawn(b, c)
+    effect = drawn(a, 1)
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=99)))
+    s = RATIONALS01
+    born = [
+        (f, None), (effect, None),
+        (sub.identity(a), None), (sub.zero_morphism(a, b), None),
+        (sub.coprojection((a, b), 0), None),
+        (sub.coprojection((a, b), 1), None),
+        (sub.discard(a), None),
+        (sub.compose(k, f), semiring_product(s, f.payload, k.payload, c)),
+        (sub.cotuple((a, c), [f, h]), f.payload + h.payload),
+        (sub.tensor(f, k), _tensor_reference(f.payload, k.payload)),
+        (sub.sample_hom(a, b, rng), None),
+    ]
+    (complement,) = sub.effect_complements(effect)
+    born.append((complement, tuple((s.complements(x)[0],)
+                                   for (x,) in effect.payload)))
+    paired = sub.try_pairing([f, g])
+    want = _side_by_side_reference([f.payload, g.payload])
+    assert (paired is None) == (want is None)
+    if paired is not None:
+        born.append((paired, want))
+    return born
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grids, st.data())
+def test_rational_events_are_born_in_the_form_of_their_payload(grid, data):
+    """Every way of building a substochastic event gives the form of its
+    reference rows, a lazily built payload with the reference ``repr``,
+    and an ``equal`` that agrees with ``Fraction`` payload equality."""
+    sub = SubStochTheory(grid=grid)
+    born = _born_events(sub, data)
+    for e, want in born:
+        lazy = RationalEvent(sub, e.dom, e.cod, e.form)
+        rows = e.payload if want is None else want
+        assert e.form == rational_form(rows)
+        assert repr(lazy) == repr(Morphism(sub, e.dom, e.cod, rows))
+        assert lazy.payload == rows
+        if want is not None:
+            assert e.payload == want
+    events = [e for e, _ in born]
+    for x in events:
+        for y in events:
+            assert sub.equal(x, y) == (x.dom == y.dom and x.cod == y.cod
+                                       and x.payload == y.payload)
+    f = events[0]
+    assert sub.equal(sub.compose(sub.identity(f.cod), f), f)
+
+
+@pytest.mark.parametrize("grid", range(1, 7))
+def test_enumerated_events_carry_the_form_of_their_payload(grid):
+    sub = SubStochTheory(grid=grid)
+    for a in range(3):
+        for b in range(3):
+            for f in sub.enumerate_hom(a, b):
+                assert f.form == rational_form(f.payload)
+                lazy = RationalEvent(sub, a, b, f.form)
+                assert repr(lazy) == repr(f)
+
+
 _any_rational = st.fractions(min_value=-1, max_value=2, max_denominator=6)
 
 
@@ -239,7 +372,8 @@ def test_rational_product_rejects_like_the_fraction_reference(case):
     f, g, p = case
 
     def fast_rows(f, g, p):
-        return rational_product(rational_form(f), rational_form(g), p)[0]
+        return rational_rows(rational_product(rational_form(f),
+                                              rational_form(g), p))
     fast = _outcome(fast_rows, f, g, p)
     assert fast == _outcome(semiring_product, RATIONALS01, f, g, p)
     if fast[0] == "raised":
