@@ -33,6 +33,21 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+def _at_least(least):
+    """An argparse type: an integer no smaller than ``least``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="opcheck",
@@ -42,13 +57,13 @@ def _build_parser():
 
     def add_common(p, with_axiom=True):
         p.add_argument("path", help="theory file (optheory/1 JSON)")
-        p.add_argument("--bound", type=int, default=2,
+        p.add_argument("--bound", type=_at_least(0), default=2,
                        help="probe object size bound (default 2)")
-        p.add_argument("--grid", type=int, default=None,
+        p.add_argument("--grid", type=_at_least(1), default=None,
                        help="enumeration grid override for matrix theories")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled checks (default 0)")
-        p.add_argument("--cap", type=int, default=checker.DEFAULT_CAP,
+        p.add_argument("--cap", type=_at_least(1), default=checker.DEFAULT_CAP,
                        help="homset enumeration cap (default %(default)s)")
         p.add_argument("--format", choices=("json", "text"), default="text",
                        dest="fmt", help="output format (default text)")
@@ -62,7 +77,7 @@ def _build_parser():
 
     p = sub.add_parser("complete", help="direct-sum completion")
     p.add_argument("path", help="theory file (optheory/1 JSON)")
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=_at_least(0), default=None,
                    help="object bound recorded in the output")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 

@@ -1,10 +1,11 @@
-"""Category-level transformers: total subcategories, the partial-morphism
-category, the direct-sum completion, quotients, and extension of functors.
+"""Category-level transformers: the partial-morphism category, the
+direct-sum completion, quotients, and extension of functors.
 
 Each construction is a pure wrapper around one or two existing theories.
-``TotalOf`` restricts a theory to its total events; ``ParTheory`` rebuilds a
-partial-event theory out of a total one (morphisms into ``B + I``); the two
-are mutually inverse up to the round-trip checked by :func:`roundtrip_check`.
+``ParTheory`` rebuilds a partial-event theory out of the total events of a
+base, Par(Tot(C)): its morphisms are the total base events into ``B + I``.
+The base and Par(Tot(base)) are mutually inverse up to the round-trip
+checked by :func:`roundtrip_check`.
 ``PlusTheory`` freely adds direct sums; ``QuotientTheory`` identifies events
 indistinguishable on state/effect probes; :func:`extension_functor` lifts a
 theory morphism to the completion.
@@ -24,88 +25,25 @@ from .errors import (
     NotAPartialTest,
     NotATheoryMorphism,
     NotEnumerable,
-    NonTotalClosure,
     ValidationError,
 )
 from .theory import Morphism, Theory
 
 
 # ---------------------------------------------------------------------------
-# Total subcategory
+# Partial morphisms over a total category
 
-class TotalOf:
-    """The subcategory of total events of a partial-form theory.
-
-    Morphisms are plain base morphisms (membership is the predicate
-    ``is_total``); the trivial object becomes terminal with ``discard`` as
-    the unique map into it.
+class ParTheory(Theory):
+    """Partial events over the total events of ``base``: a morphism A to B
+    is a total base event A to B + I.  Composition grafts the second summand
+    (the "undefined" branch) along, identities and discarding are the
+    evident coprojection composites.
     """
 
     def __init__(self, base):
         self.base = base
-        self.name = f"total({base.name})"
+        self.name = f"par(total({base.name}))"
         self.tol = base.tol
-
-    def coproduct(self, summands):
-        return self.base.coproduct(summands)
-
-    def coprojection(self, summands, i):
-        return self.base.coprojection(summands, i)
-
-    def cotuple(self, summands, fs):
-        return self.base.cotuple(summands, fs)
-
-    def identity(self, a):
-        return self.base.identity(a)
-
-    def compose(self, g, f):
-        h = self.base.compose(g, f)
-        if ops.is_total(f) and ops.is_total(g) and not ops.is_total(h):
-            raise NonTotalClosure(
-                f"{self.base.name}: composite of total events is not total")
-        return h
-
-    def equal(self, f, g, tol=None):
-        return self.base.equal(f, g, tol)
-
-    def payload_key(self, f):
-        return self.base.payload_key(f)
-
-    def enumerate_hom(self, a, b, cap=None):
-        return [f for f in self.base.enumerate_hom(a, b, cap) if ops.is_total(f)]
-
-    def sample_hom(self, a, b, rng, attempts=500):
-        for _ in range(attempts):
-            f = self.base.sample_hom(a, b, rng)
-            if ops.is_total(f):
-                return f
-        raise NotEnumerable(f"{self.name}: rejection sampling found no total event")
-
-    def probe_objects(self, bound):
-        return self.base.probe_objects(bound)
-
-
-def total_of(base):
-    return TotalOf(base)
-
-
-# ---------------------------------------------------------------------------
-# Partial morphisms over a total category
-
-class ParTheory(Theory):
-    """Partial events over a total category: a morphism A to B is a total
-    morphism A to B + I.  Composition grafts the second summand (the
-    "undefined" branch) along, identities and discarding are the evident
-    coprojection composites.
-    """
-
-    def __init__(self, total):
-        if not isinstance(total, TotalOf):
-            raise TypeError("ParTheory is built over a TotalOf view")
-        self.total = total
-        self.base = total.base
-        self.name = f"par({total.name})"
-        self.tol = total.tol
 
     # -- objects -----------------------------------------------------------
     def unit(self):
@@ -203,7 +141,8 @@ class ParTheory(Theory):
     # -- enumeration -------------------------------------------------------
     def enumerate_hom(self, a, b, cap=None):
         return [self._wrap(a, b, m)
-                for m in self.total.enumerate_hom(a, self._lift(b), cap)]
+                for m in self.base.enumerate_hom(a, self._lift(b), cap)
+                if ops.is_total(m)]
 
     def sample_hom(self, a, b, rng):
         return self.from_event(a, b, self.base.sample_hom(a, b, rng))
@@ -219,8 +158,8 @@ class ParTheory(Theory):
         return self._wrap(dom, cod, payload)
 
 
-def par(total):
-    return ParTheory(total)
+def par(base):
+    return ParTheory(base)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +170,9 @@ def roundtrip_check(theory, bound=2, cap=None):
     in bijection on every probe homset, and that the bijection is the
     total-extension / first-projection pair.
 
-    ``theory`` may be a partial-form theory or a :class:`TotalOf` view (in
-    which case its base is checked).  The verdict dictionary carries every
-    mismatch and every homset skipped for size.
+    The verdict dictionary carries every mismatch and every homset skipped
+    for size.
     """
-    if isinstance(theory, TotalOf):
-        theory = theory.base
     base = theory
     unit = base.unit()
     failures = []
@@ -532,13 +468,17 @@ def search_direct_sum(theory, summands, bound):
 # ---------------------------------------------------------------------------
 # Quotient by operational indistinguishability
 
+#: the largest ancilla size the monoidal quotient probes with
+ANCILLA_BOUND = 2
+
+
 class QuotientTheory(Theory):
     """Identify events whose state/effect probe statistics coincide.
 
     Morphisms carry a representative base event; equality compares probe
     signatures, and every operation delegates to the base and re-canonicalizes
-    the result.  In monoidal mode the probes range over ancilla-extended
-    states and effects.
+    the result.  In monoidal mode the probes range over states and effects
+    extended by ancillas of size 1 to :data:`ANCILLA_BOUND`.
 
     Each base event is signed once: signatures, and the effect rows they are
     built from, are memoised under the event's exact key (the base's
@@ -549,14 +489,13 @@ class QuotientTheory(Theory):
     """
 
     def __init__(self, base, bound=2, cap=20000, samples=64, seed=0,
-                 monoidal=False, ancilla_bound=2):
+                 monoidal=False):
         self.base = base
         self.bound = bound
         self.cap = cap
         self.samples = samples
         self.seed = seed
         self.monoidal_probes = monoidal and base.monoidal
-        self.ancilla_bound = ancilla_bound
         self.name = f"quotient({base.name})"
         self.monoidal = False
         self.tol = base.tol
@@ -602,7 +541,7 @@ class QuotientTheory(Theory):
             return [None]
         base = self.base
         out = [None]
-        for c in base.probe_objects(self.ancilla_bound):
+        for c in base.probe_objects(ANCILLA_BOUND):
             if 1 <= base.object_size(c):
                 out.append(c)
         return out
@@ -751,11 +690,9 @@ class QuotientTheory(Theory):
         return len(set(sigs)) == len(sigs)
 
 
-def quotient(theory, bound=2, cap=20000, samples=64, seed=0, monoidal=False,
-             ancilla_bound=2):
+def quotient(theory, bound=2, cap=20000, samples=64, seed=0, monoidal=False):
     return QuotientTheory(theory, bound=bound, cap=cap, samples=samples,
-                          seed=seed, monoidal=monoidal,
-                          ancilla_bound=ancilla_bound)
+                          seed=seed, monoidal=monoidal)
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +706,6 @@ class ExtendedFunctor:
         self.target = target
         self.object_map = object_map
         self.morphism_map = morphism_map
-
-    def apply_obj(self, x):
-        return self.target.coproduct(tuple(self.object_map(o) for o in x))
 
     def apply(self, m):
         tgt = self.target

@@ -91,10 +91,6 @@ class NotAvailable(OpcheckError):
     """The theory does not provide the requested structure (e.g. coproducts)."""
 
 
-class NonTotalClosure(OpcheckError):
-    """A composite of total morphisms came out non-total: a base-theory bug."""
-
-
 class NotATheoryMorphism(OpcheckError):
     """Functor data fails to preserve tests, merging, or the trivial system."""
 

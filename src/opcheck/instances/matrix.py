@@ -8,8 +8,9 @@ row-indexed states).  An event is total when every row sums to one.
 The substochastic instance is the same structure over the nonnegative
 rationals, where the sub-unit subset is the rationals in [0, 1]; it keeps
 a denominator grid so homsets become enumerable (exhaustive relative to
-the grid).  Its events are :class:`RationalEvent`\ s, computed on integer
-forms, and each homset is enumerated once per theory.
+the grid).  Each of its events is a :class:`RationalEvent`, whose integer
+form is set when the event is born; events are computed on those forms,
+and each homset is enumerated once per theory.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ class RationalEvent(Morphism):
         return rows
 
 
-def _form(f):
-    """The :func:`kernel.rational_form` of the rational event ``f``; an
-    event built as a plain :class:`Morphism` gets it on first use, kept in
-    ``f.form``."""
-    form = f.form
-    if form is None:
-        form = f.form = kernel.rational_form(f.payload)
-    return form
-
-
 class SemiringMatrices(Theory):
     """The category of matrices over ``self.semiring``, whatever the objects.
 
@@ -107,7 +98,7 @@ class SemiringMatrices(Theory):
         try:
             if self.semiring is RATIONALS01:
                 return RationalEvent(self, f.dom, g.cod, kernel.rational_product(
-                    _form(f), _form(g), width))
+                    f.form, g.form, width))
             rows = kernel.semiring_product(
                 self.semiring, f.payload, g.payload, width)
         except EventViolation as bad:
@@ -131,7 +122,7 @@ class SemiringMatrices(Theory):
         cod = fs[0].cod if fs else self.zero()
         if self.semiring is RATIONALS01:
             return RationalEvent(self, dom, cod,
-                                 kernel.rational_stack([_form(f) for f in fs]))
+                                 kernel.rational_stack([f.form for f in fs]))
         return Morphism(self, dom, cod,
                         tuple(row for f in fs for row in f.payload))
 
@@ -139,18 +130,18 @@ class SemiringMatrices(Theory):
         if f.dom != g.dom or f.cod != g.cod:
             return False
         if self.semiring is RATIONALS01:
-            return _form(f) == _form(g)
+            return f.form == g.form
         return f.payload == g.payload
 
     def payload_key(self, f):
         if self.semiring is RATIONALS01:
-            return _form(f)
+            return f.form
         return f.payload
 
     def try_pairing(self, events):
         cod = self.coproduct(tuple(f.cod for f in events))
         if self.semiring is RATIONALS01:
-            form = kernel.rational_side_by_side([_form(f) for f in events])
+            form = kernel.rational_side_by_side([f.form for f in events])
             return None if form is None else RationalEvent(
                 self, events[0].dom, cod, form)
         rows = kernel.side_by_side(self.semiring, [f.payload for f in events])
@@ -207,7 +198,7 @@ class MatrixTheory(SemiringMatrices):
     def effect_complements(self, e):
         if self.semiring is RATIONALS01:
             # 1 - n/d is (d - n)/d, and d stays the least common denominator
-            numerators, d = _form(e)
+            numerators, d = e.form
             if any(row[0] > d for row in numerators):
                 return []
             return [RationalEvent(self, e.dom, 1, (
@@ -291,7 +282,7 @@ class MatrixTheory(SemiringMatrices):
 
     def tensor(self, f, g):
         if self.semiring is RATIONALS01:
-            (fn, fd), (gn, gd) = _form(f), _form(g)
+            (fn, fd), (gn, gd) = f.form, g.form
             return RationalEvent(self, f.dom * g.dom, f.cod * g.cod,
                                  kernel.reduced_form(tuple(
                                      tuple(x * y for x in frow for y in grow)

@@ -38,7 +38,10 @@ def parse_rational(text):
     if len(parts) == 1:
         return Fraction(int(parts[0]))
     if len(parts) == 2:
-        return Fraction(int(parts[0]), int(parts[1]))
+        numerator, denominator = int(parts[0]), int(parts[1])
+        if denominator == 0:
+            raise ValueError(f"rational literal {text!r} has denominator 0")
+        return Fraction(numerator, denominator)
     raise ValueError(f"malformed rational literal {text!r}")
 
 
@@ -164,23 +167,16 @@ class FiniteSemiring(Semiring):
 
 
 class RuleSemiring(Semiring):
-    """Rule-defined carrier (a trusted builtin, not validated at load time).
-
-    ``in_unit_interval``, when given, is a direct test equivalent to
-    ``bool(complements(a))`` on carrier elements; it spares building the
-    complements on the hot paths that only ask for membership.
-    """
+    """Rule-defined carrier (a trusted builtin, not validated at load time)."""
 
     def __init__(self, name, *, zero, one, add, mul, contains, complements,
                  grid_elements, element_str=str, parse_element=None,
-                 monotone=False, in_unit_interval=None):
+                 monotone=False):
         super().__init__(name, zero=zero, one=one)
         self.monotone = monotone
         self.add = add
         self.mul = mul
         self.contains = contains
-        if in_unit_interval is not None:
-            self.in_unit_interval = in_unit_interval
         self._complements = complements
         self._grid = grid_elements
         self.element_str = element_str
@@ -223,7 +219,6 @@ NATURALS = RuleSemiring(
     mul=lambda a, b: a * b,
     contains=lambda a: isinstance(a, int) and not isinstance(a, bool) and a >= 0,
     complements=lambda a: (1 - a,) if a <= 1 else (),
-    in_unit_interval=lambda a: a <= 1,
     grid_elements=lambda grid: tuple(range(0, grid + 1)),
     parse_element=_int_parse,
 )
@@ -248,8 +243,6 @@ RATIONALS01 = RuleSemiring(
     mul=lambda a, b: a * b,
     contains=lambda a: isinstance(a, Fraction) and a >= 0,
     complements=lambda a: (1 - a,) if a <= 1 else (),
-    # carrier elements are nonnegative with a positive denominator
-    in_unit_interval=lambda a: a.numerator <= a.denominator,
     grid_elements=lambda grid: tuple(Fraction(k, grid) for k in range(grid + 1)),
     element_str=rational_str,
     parse_element=parse_rational,
@@ -261,11 +254,6 @@ BUILTIN_SEMIRINGS = {
     "booleans": BOOLEANS,
     "rationals01": RATIONALS01,
 }
-
-
-def semiring_complements(semiring, a):
-    """All ``b`` with ``a + b = 1``; empty means ``a`` is not sub-unit."""
-    return tuple(semiring.complements(a))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything here is generic over a :class:`~opcheck.theory.Theory`:
 projections, codiagonals, totality, complements, merging of outcome
-events, pairing, outcome-controlled sequencing and convex combinations.
+events, pairing and outcome-controlled sequencing.
 Nothing is instance-specific.
 """
 
@@ -14,7 +14,6 @@ from .errors import (
     NoComplement,
     NonUniqueComplement,
     NotAPartialTest,
-    NotMonoidal,
 )
 
 
@@ -177,61 +176,3 @@ def control(test, followers):
               for f, g in zip(test.events, followers)
               for k in range(len(g.events))]
     return PartialTest(th, test.dom, events, all_summands, paired)
-
-
-def convex_combination(weights, points, monoidal=False):
-    """Mixture of states (or, in a monoidal theory, of arbitrary events).
-
-    ``weights`` is a partial test of scalars; ``points`` a matching list of
-    events.  The state form routes the weight test through the copower of
-    the trivial object and cotuples the points; the event form additionally
-    uses the tensor.
-    """
-    th = weights.theory
-    points = list(points)
-    if len(points) != len(weights.events):
-        raise CompositionError("one point per weight required")
-    unit = th.unit()
-    if weights.dom != unit or any(c != unit for c in weights.cod_summands):
-        raise ValueError("weights must be scalars")
-    n = len(points)
-    dom = points[0].dom
-    cod = points[0].cod
-    for p in points[1:]:
-        if p.dom != dom or p.cod != cod:
-            raise CompositionError("points must be parallel")
-    if dom == unit:
-        # route through n copies of the trivial object
-        return th.compose(th.cotuple((unit,) * n, points), weights.pairing)
-    if not th.monoidal:
-        raise NotMonoidal("general-event mixtures need a tensor")
-    # dom ~ dom (x) unit --(id (x) weights)--> dom (x) n.unit ~ n.dom --[points]--> cod
-    rho_inv = th.unitor_right_inv(dom)
-    spread = th.tensor(th.identity(dom), weights.pairing)
-    gather = _distribute_right(th, dom, n)
-    folded = th.cotuple((dom,) * n, points)
-    return th.compose(folded, th.compose(gather, th.compose(spread, rho_inv)))
-
-
-def _distribute_right(theory, a, n):
-    """Canonical map from ``a`` tensor the n-fold copower of the unit onto
-    the n-fold copower of ``a`` (merge of injections after projections)."""
-    unit = theory.unit()
-    n_unit = (unit,) * n
-    src = theory.tensor_obj(a, theory.coproduct(n_unit))
-    pieces = []
-    for i in range(n):
-        step = theory.tensor(theory.identity(a), projection(theory, n_unit, i))
-        step = theory.compose(theory.unitor_right(a), step)
-        step = theory.compose(theory.coprojection((a,) * n, i), step)
-        pieces.append(step)
-    out = pieces[0]
-    for p in pieces[1:]:
-        h = theory.try_pairing([out, p])
-        if h is None:
-            raise Incompatible("distribution pieces failed to pair")
-        out = theory.compose(codiagonal(theory, 2, out.cod), h)
-    if out.dom != src:
-        raise CompositionError("distribution map has unexpected domain")
-    return out
-

@@ -10,10 +10,11 @@ instance; morphisms are :class:`Morphism` records tagged with their theory.
 All values are immutable after construction and every operation is a pure
 function, so theories may be shared freely between workers.  The
 exceptions are derived caches that never change what a value is: a
-morphism's ``form`` slot, which an instance may fill on first use with a
-value computed from the payload alone; the payload of a rational matrix
-event, which is derived from its form on first read; and an instance's
-memo of the homsets it has enumerated.
+cpsu morphism's ``form`` slot, which it fills on first use with a value
+computed from the payload alone; the payload of a rational matrix event,
+which is derived from its form on first read (the form itself is set when
+the event is born); and an instance's memo of the homsets it has
+enumerated.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class Morphism:
     ``form`` is None or a value that the owning theory derives from the
     payload alone and keeps: cpsu keeps the unital image of each entry
     there.  It never changes what the morphism is.  A rational matrix event
-    (``instances.matrix.RationalEvent``) turns this around: it is born with
-    its canonical integer form, and its payload of ``Fraction`` rows is
-    derived from that form on first read.
+    (``instances.matrix.RationalEvent``) turns this around: its canonical
+    integer form is always set when it is born, and its payload of
+    ``Fraction`` rows is derived from that form on first read.
     """
 
     __slots__ = ("theory", "dom", "cod", "payload", "form")

@@ -70,6 +70,14 @@ def _parse_entry(semiring, value, location):
         f"cannot read {value!r} as an element of {semiring.name}", location)
 
 
+def _grid(params, default):
+    grid = params.get("grid", default)
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        raise TheoryFileError(f"grid must be an integer >= 1, got {grid!r}",
+                              "parameters.grid")
+    return grid
+
+
 def _parse_builtin(doc):
     name = _require(doc, "name", "builtin")
     params = doc.get("parameters", {})
@@ -78,13 +86,17 @@ def _parse_builtin(doc):
     if name == "pfun":
         return PFunTheory()
     if name == "substoch":
-        return SubStochTheory(grid=int(params.get("grid", 4)))
+        return SubStochTheory(grid=_grid(params, 4))
     if name == "cpsu":
-        return CpsuTheory(tol=float(params.get("tol", kernel.DEFAULT_TOL)))
+        tol = params.get("tol", kernel.DEFAULT_TOL)
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+            raise TheoryFileError(f"tol must be a number, got {tol!r}",
+                                  "parameters.tol")
+        return CpsuTheory(tol=float(tol))
     if name == "mat":
         semiring = _parse_semiring(_require(params, "semiring", "parameters"),
                                    "parameters.semiring")
-        return MatrixTheory(semiring, grid=int(params.get("grid", 2)))
+        return MatrixTheory(semiring, grid=_grid(params, 2))
     raise TheoryFileError(
         f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}",
         "name")

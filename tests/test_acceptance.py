@@ -28,7 +28,6 @@ from opcheck.constructions import (
     quotient,
     roundtrip_check,
     search_direct_sum,
-    total_of,
 )
 from opcheck.instances import (
     CpsuTheory,
@@ -215,7 +214,7 @@ def test_08_derived_lemmas(substoch_report):
 def test_09_positivity_consequences():
     cfg = ProbeConfig(bound=2, cap=2000, samples=40)
     for base in (PFunTheory(), SubStochTheory(grid=2)):
-        p = par(total_of(base))
+        p = par(base)
         iso = run_check(p, cfg, "lemmaB.3-i")
         assert iso.ok, iso.verdict
         strict = run_check(p, cfg, "lemmaB.3-ii")

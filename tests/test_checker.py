@@ -15,7 +15,7 @@ from opcheck.checker import (
     classify,
     run_check,
 )
-from opcheck.constructions import par, plus_completion, quotient, total_of
+from opcheck.constructions import par, plus_completion, quotient
 from opcheck.instances import (
     CpsuTheory,
     MatrixTheory,
@@ -178,7 +178,7 @@ def test_relaxed_equality_retry():
     def scaled(f, c):
         return cpsu._m(f.dom, f.cod, [[b * c for b in row] for row in f.payload])
 
-    plus, partial = plus_completion(cpsu), par(total_of(cpsu))
+    plus, partial = plus_completion(cpsu), par(cpsu)
     kappa = partial.identity((2,)).payload
     for theory, event in [
             (plus, lambda c: plus.singleton(scaled(i2, c))),

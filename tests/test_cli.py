@@ -97,6 +97,25 @@ def test_grid_override_applies_only_to_matrix_theories(capsys):
     assert "--grid does not apply" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--grid", "0"), ("--bound", "-1"), ("--cap", "0")])
+def test_numeric_options_below_their_range_exit_two(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", str(FIXTURES / "substoch.theory"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_negative_grid_in_a_theory_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "negative_grid.theory"
+    path.write_text(json.dumps({"format": "optheory/1", "kind": "builtin",
+                                "name": "substoch",
+                                "parameters": {"grid": -1}}))
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == 2
+    assert "(at parameters.grid)" in err
+
+
 def test_complete_requires_bound_for_builtins(capsys):
     code, _, err = run(capsys, "complete", str(FIXTURES / "substoch.theory"))
     assert code == 2

@@ -9,6 +9,7 @@ import pytest
 from opcheck import ops
 from opcheck.checker import ProbeConfig, classify
 from opcheck.constructions import (
+    ANCILLA_BOUND,
     ExtendedFunctor,
     ParTheory,
     PlusTheory,
@@ -19,14 +20,12 @@ from opcheck.constructions import (
     plus_completion,
     quotient,
     roundtrip_check,
-    total_of,
 )
 from opcheck.errors import (
     BoundExceeded,
     Incompatible,
     NotAPartialTest,
     NotATheoryMorphism,
-    NonTotalClosure,
     NotEnumerable,
 )
 from opcheck.instances import CpsuTheory, MatrixTheory, PFunTheory, SubStochTheory
@@ -43,17 +42,17 @@ def ev(theory, dom, cod, rows):
 
 # -- total part and Par ----------------------------------------------------
 
-def test_total_part_only_contains_totals():
-    sub = SubStochTheory(grid=2)
-    total = total_of(sub)
-    for f in total.enumerate_hom(2, 2):
-        assert ops.is_total(f)
-    assert len(total.enumerate_hom(1, 2)) == 3  # rows summing to one
+def test_par_enumerates_only_total_payloads():
+    p = par(SubStochTheory(grid=2))
+    assert p.name == "par(total(substoch))"
+    for f in p.enumerate_hom(2, 1):
+        assert ops.is_total(f.payload)
+    assert len(p.enumerate_hom(1, 1)) == 3  # rows into 1 + I summing to one
 
 
 def test_par_recovers_the_base_theory():
     sub = SubStochTheory(grid=2)
-    p = par(total_of(sub))
+    p = par(sub)
     f = ev(sub, 1, 2, [["1/2", "0"]])
     lifted = p.from_event(1, 2, f)
     assert p.to_event(lifted).payload == f.payload
@@ -204,7 +203,7 @@ def test_completion_stores_no_entry_when_the_product_raises():
 
 
 @pytest.mark.parametrize("check_id", ["lemma2.3-iii", "separation"])
-@pytest.mark.parametrize("build", [PlusTheory, lambda t: par(total_of(t))],
+@pytest.mark.parametrize("build", [PlusTheory, par],
                          ids=["plus", "par"])
 def test_keyed_checks_run_over_cpsu_constructions(build, check_id):
     report = classify(build(CpsuTheory()),
@@ -217,7 +216,7 @@ def test_keyed_checks_run_over_cpsu_constructions(build, check_id):
 def test_rounded_key_nests_through_the_constructions():
     cpsu = CpsuTheory()
     f = cpsu.identity((1, 2))
-    plus, partial = PlusTheory(cpsu), par(total_of(cpsu))
+    plus, partial = PlusTheory(cpsu), par(cpsu)
     lifted = partial.identity((1, 2))
     with pytest.raises(NotEnumerable):
         plus.payload_key(plus.singleton(f))
@@ -258,7 +257,7 @@ def _reference_signature(q, f):
     unit = base.unit()
     ancillas = [None]
     if q.monoidal_probes:
-        ancillas += [c for c in base.probe_objects(q.ancilla_bound)
+        ancillas += [c for c in base.probe_objects(ANCILLA_BOUND)
                      if base.object_size(c) >= 1]
     out = []
     for c in ancillas:
@@ -360,7 +359,7 @@ def test_partial_form_survives_the_par_construction():
     report = classify(sub, cfg, only=total_form)
     assert len(report.results) == 3
     assert all(r.verdict == "holds-exhaustive" for r in report.results)
-    p = par(total_of(sub))
+    p = par(sub)
     report = classify(p, cfg, only=partial_form)
     verdicts = {r.id: r.verdict for r in report.results}
     assert len(verdicts) == 5

@@ -32,10 +32,8 @@ from opcheck.kernel import (
     rational_stack,
     rational_str,
     row_in_unit,
-    semiring_complements,
     semiring_product,
 )
-from opcheck.theory import Morphism
 
 
 def test_parse_rational_roundtrip():
@@ -50,6 +48,11 @@ def test_parse_rational_rejects_floats():
         parse_rational("0.5")
 
 
+def test_parse_rational_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="denominator 0"):
+        parse_rational("1/0")
+
+
 def test_builtin_semiring_registry():
     assert set(BUILTIN_SEMIRINGS) == {"integers", "naturals", "booleans",
                                       "rationals01"}
@@ -57,18 +60,18 @@ def test_builtin_semiring_registry():
 
 def test_integer_complements_are_unique():
     for a in range(-3, 4):
-        assert semiring_complements(INTEGERS, a) == (1 - a,)
+        assert INTEGERS.complements(a) == (1 - a,)
 
 
 def test_naturals_sub_unit_subset():
-    assert semiring_complements(NATURALS, 0) == (1,)
-    assert semiring_complements(NATURALS, 1) == (0,)
-    assert semiring_complements(NATURALS, 2) == ()
+    assert NATURALS.complements(0) == (1,)
+    assert NATURALS.complements(1) == (0,)
+    assert NATURALS.complements(2) == ()
 
 
 def test_boolean_one_has_two_complements():
-    assert set(semiring_complements(BOOLEANS, 1)) == {0, 1}
-    assert semiring_complements(BOOLEANS, 0) == (1,)
+    assert set(BOOLEANS.complements(1)) == {0, 1}
+    assert BOOLEANS.complements(0) == (1,)
 
 
 def test_rationals_grid():
@@ -197,12 +200,12 @@ def test_a_composite_carries_the_form_of_its_payload(chain):
     afresh from its ``Fraction`` payload."""
     mats, dims = chain
     sub = SubStochTheory(grid=4)
-    acc = Morphism(sub, dims[0], dims[1], mats[0])
+    acc = sub._m(dims[0], dims[1], mats[0])
     for mat, a, b in zip(mats[1:], dims[1:], dims[2:]):
-        acc = sub.compose(Morphism(sub, a, b, mat), acc)
+        acc = sub.compose(sub._m(a, b, mat), acc)
         assert acc.form == rational_form(acc.payload)
         assert sub.payload_key(acc) == sub.payload_key(
-            Morphism(sub, acc.dom, acc.cod, acc.payload))
+            sub._m(acc.dom, acc.cod, acc.payload))
 
 
 _GRID3 = SubStochTheory(grid=3)
@@ -224,7 +227,7 @@ def test_identity_composites_keep_the_payload_key(data):
         assert sub.payload_key(sub.compose(idb, f)) == sub.payload_key(f)
         gf = sub.compose(g, f)
         assert (sub.payload_key(sub.compose(idc, gf))
-                == sub.payload_key(Morphism(sub, a, c, gf.payload)))
+                == sub.payload_key(sub._m(a, c, gf.payload)))
 
 
 # -- the form path against the Fraction reference ----------------------------
@@ -329,7 +332,7 @@ def test_rational_events_are_born_in_the_form_of_their_payload(grid, data):
         lazy = RationalEvent(sub, e.dom, e.cod, e.form)
         rows = e.payload if want is None else want
         assert e.form == rational_form(rows)
-        assert repr(lazy) == repr(Morphism(sub, e.dom, e.cod, rows))
+        assert repr(lazy) == repr(sub._m(e.dom, e.cod, rows))
         assert lazy.payload == rows
         if want is not None:
             assert e.payload == want
@@ -387,8 +390,8 @@ def test_substoch_compose_keeps_the_validate_event_diagnostics(case):
     ``validate_event``: same payload, or same exception type and message."""
     f, g, p = case
     sub = SubStochTheory(grid=4)
-    fm = Morphism(sub, len(f), len(g), f)
-    gm = Morphism(sub, len(g), p, g)
+    fm = sub._m(len(f), len(g), f)
+    gm = sub._m(len(g), p, g)
     dense = _naive_product(RATIONALS01, f, g, p)
 
     def payload(thunk):
@@ -416,16 +419,6 @@ def test_sparse_product_matches_the_dense_triple_loop(semiring, elements, data):
         return rows
     assert (_outcome(semiring_product, semiring, f, g, p)
             == _outcome(dense, semiring, f, g, p))
-
-
-@given(st.fractions(min_value=0, max_value=3, max_denominator=12))
-def test_rational_unit_interval_test_matches_complements(a):
-    assert RATIONALS01.in_unit_interval(a) is bool(RATIONALS01.complements(a))
-
-
-def test_natural_unit_interval_test_matches_complements():
-    for a in NATURALS.grid_elements(5):
-        assert NATURALS.in_unit_interval(a) is bool(NATURALS.complements(a))
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6),

@@ -1,4 +1,4 @@
-"""Derived operations: pairing, merging, complements, control, mixtures.
+"""Derived operations: pairing, merging, complements, control.
 
 Expected numbers are frozen from hand computation on small matrices.
 """
@@ -103,22 +103,6 @@ def test_control_composes_outcomes(sub):
     scalars = [f.payload[0][0] for f in combined.events]
     assert scalars == [F(1, 6), F(1, 3), F(1, 2)]
     assert combined.is_total()
-
-
-def test_convex_combination_of_states(sub):
-    weights = ops.pairing([ev(sub, 1, 1, [["1/4"]]), ev(sub, 1, 1, [["3/4"]])])
-    p1 = ev(sub, 1, 2, [["1", "0"]])
-    p2 = ev(sub, 1, 2, [["0", "1"]])
-    mix = ops.convex_combination(weights, [p1, p2])
-    assert mix.payload == ((F(1, 4), F(3, 4)),)
-
-
-def test_convex_combination_of_events(sub):
-    weights = ops.pairing([ev(sub, 1, 1, [["1/2"]]), ev(sub, 1, 1, [["1/2"]])])
-    p1 = sub.identity(2)
-    p2 = ev(sub, 2, 2, [["0", "1"], ["1", "0"]])
-    mix = ops.convex_combination(weights, [p1, p2], monoidal=True)
-    assert mix.payload == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
 
 
 def test_codiagonal_folds(sub):

@@ -4,7 +4,10 @@ import copy
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
+
+from opcheck import cli
 
 from opcheck.constructions import PlusTheory
 from opcheck.errors import TheoryFileError
@@ -23,6 +26,8 @@ from opcheck.theoryfile import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+THEORY_SCHEMA = json.loads(
+    (Path(cli.__file__).parent / "schemas" / "optheory.json").read_text())
 
 EXPECTED_TYPES = {
     "pfun.theory": PFunTheory,
@@ -132,6 +137,31 @@ def test_bad_rational_entry_reports_its_path():
     with pytest.raises(TheoryFileError) as exc:
         parse_doc(doc)
     assert location_of(exc) == "events[0].payload[0]"
+
+
+def test_zero_denominator_entry_reports_its_path():
+    doc = stateless_doc()
+    doc["events"][0]["payload"] = [["1/0"]]
+    with pytest.raises(TheoryFileError) as exc:
+        parse_doc(doc)
+    assert location_of(exc) == "events[0].payload[0]"
+
+
+@pytest.mark.parametrize("name,params,key", [
+    ("substoch", {"grid": 0}, "grid"),
+    ("substoch", {"grid": "x"}, "grid"),
+    ("mat", {"semiring": "integers", "grid": -1}, "grid"),
+    ("cpsu", {"tol": "abc"}, "tol"),
+], ids=["grid-zero", "grid-not-an-integer", "grid-negative", "tol-not-a-number"])
+def test_builtin_parameters_outside_the_schema_report_their_path(name, params,
+                                                                 key):
+    doc = {"format": "optheory/1", "kind": "builtin", "name": name,
+           "parameters": params}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, THEORY_SCHEMA)
+    with pytest.raises(TheoryFileError) as exc:
+        parse_doc(doc)
+    assert location_of(exc) == f"parameters.{key}"
 
 
 def test_undeclared_object_in_event():
