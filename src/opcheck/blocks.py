@@ -14,8 +14,7 @@ algebras, whose entries are completely positive maps between single blocks.
 A subclass sets ``self.entries`` to the object that supplies the entry
 operations (``identity``, ``zero_morphism``, ``discard``, ``equal``,
 ``effect_complements``, ``rounded_key``, ``object_size``, ``tensor_obj``,
-``tensor`` and the unitors ``unitor_left``, ``unitor_right`` and
-``unitor_right_inv``), and defines:
+``tensor`` and the unitor ``unitor_left``), and defines:
 
 - ``unit``, ``object_str`` and ``probe_objects``;
 - ``_m(dom, cod, grid)``, which wraps a grid as a morphism;
@@ -120,17 +119,7 @@ class BlockMatrices(Theory):
                        [[t(e1, e2) for e1 in r1 for e2 in r2]
                         for r1 in f.payload for r2 in g.payload])
 
-    def unitor_right(self, a):
-        lam = self.entries.unitor_right
-        return self._diagonal(self.tensor_obj(a, self.unit()), a,
-                              [lam(x) for x in a])
-
     def unitor_left(self, a):
         lam = self.entries.unitor_left
         return self._diagonal(self.tensor_obj(self.unit(), a), a,
-                              [lam(x) for x in a])
-
-    def unitor_right_inv(self, a):
-        lam = self.entries.unitor_right_inv
-        return self._diagonal(a, self.tensor_obj(a, self.unit()),
                               [lam(x) for x in a])

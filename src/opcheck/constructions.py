@@ -30,22 +30,10 @@ from .errors import (
 from .theory import Morphism, Theory
 
 
-# ---------------------------------------------------------------------------
-# Partial morphisms over a total category
+class _OnBaseObjects(Theory):
+    """A theory whose objects are those of ``self.base``: the unit, zero,
+    coproducts, names, sizes and probe objects are the base's."""
 
-class ParTheory(Theory):
-    """Partial events over the total events of ``base``: a morphism A to B
-    is a total base event A to B + I.  Composition grafts the second summand
-    (the "undefined" branch) along, identities and discarding are the
-    evident coprojection composites.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.name = f"par(total({base.name}))"
-        self.tol = base.tol
-
-    # -- objects -----------------------------------------------------------
     def unit(self):
         return self.base.unit()
 
@@ -63,6 +51,22 @@ class ParTheory(Theory):
 
     def probe_objects(self, bound):
         return self.base.probe_objects(bound)
+
+
+# ---------------------------------------------------------------------------
+# Partial morphisms over a total category
+
+class ParTheory(_OnBaseObjects):
+    """Partial events over the total events of ``base``: a morphism A to B
+    is a total base event A to B + I.  Composition grafts the second summand
+    (the "undefined" branch) along, identities and discarding are the
+    evident coprojection composites.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.name = f"par(total({base.name}))"
+        self.tol = base.tol
 
     # -- morphisms ---------------------------------------------------------
     def _lift(self, b):
@@ -472,7 +476,7 @@ def search_direct_sum(theory, summands, bound):
 ANCILLA_BOUND = 2
 
 
-class QuotientTheory(Theory):
+class QuotientTheory(_OnBaseObjects):
     """Identify events whose state/effect probe statistics coincide.
 
     Morphisms carry a representative base event; equality compares probe
@@ -503,25 +507,6 @@ class QuotientTheory(Theory):
         self._signatures = {}  # exact key of an event -> its signature
         self._rows = {}        # exact key of probe . state -> effect outcomes
         self._partitions = {}  # (a, b) -> (cap it was enumerated under, classes)
-
-    # -- objects -----------------------------------------------------------
-    def unit(self):
-        return self.base.unit()
-
-    def zero(self):
-        return self.base.zero()
-
-    def coproduct(self, summands):
-        return self.base.coproduct(summands)
-
-    def object_str(self, a):
-        return self.base.object_str(a)
-
-    def object_size(self, a):
-        return self.base.object_size(a)
-
-    def probe_objects(self, bound):
-        return self.base.probe_objects(bound)
 
     # -- probes ------------------------------------------------------------
     def _hom_probe(self, a, b, tag):

@@ -82,7 +82,7 @@ class CpBlocks:
     def identity(self, d):
         return _block_identity(d)
 
-    unitor_left = unitor_right = unitor_right_inv = identity
+    unitor_left = identity
 
     def zero_morphism(self, d, e):
         return np.zeros((e, d, e, d), dtype=complex)

@@ -5,12 +5,14 @@ entries and row sums all lie in the sub-unit subset of the carrier (row =
 source element, column = target element: morphisms act on the left of
 row-indexed states).  An event is total when every row sums to one.
 
-The substochastic instance is the same structure over the nonnegative
-rationals, where the sub-unit subset is the rationals in [0, 1]; it keeps
-a denominator grid so homsets become enumerable (exhaustive relative to
-the grid).  Each of its events is a :class:`RationalEvent`, whose integer
-form is set when the event is born; events are computed on those forms,
-and each homset is enumerated once per theory.
+Every event is a :class:`MatrixEvent`, held in its carrier's form
+(``semiring.form``), and all matrix arithmetic is done by the semiring on
+those forms; no method here asks which carrier it has.  The substochastic
+instance is the same structure over the nonnegative rationals, where the
+sub-unit subset is the rationals in [0, 1] and the form is the canonical
+integer one; it keeps a denominator grid so homsets become enumerable
+(exhaustive relative to the grid).  Each homset is enumerated once per
+theory.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from itertools import product
 
 from .. import kernel
-from ..kernel import RATIONALS01
 from ..errors import (
     BoundExceeded,
     EntryOutOfRange,
@@ -29,12 +30,12 @@ from ..errors import (
 from ..theory import Morphism, Theory
 
 
-class RationalEvent(Morphism):
-    """An event of a matrix theory over :data:`kernel.RATIONALS01`, born in
-    its canonical integer form ``form`` (:func:`kernel.rational_form`).
+class MatrixEvent(Morphism):
+    """An event of a semiring-matrix theory, born in its carrier's form
+    ``form`` (``theory.semiring.form``).
 
-    Its ``payload``, the rows of ``Fraction``s, is given at birth or built
-    from the form when first read, and then kept.
+    Its ``payload``, the rows of carrier elements, is given at birth or
+    built by ``theory.semiring.rows`` when first read, and then kept.
     """
 
     __slots__ = ()
@@ -52,7 +53,7 @@ class RationalEvent(Morphism):
         if name != "payload":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = self.payload = kernel.rational_rows(self.form)
+        rows = self.payload = self.theory.semiring.rows(self.form)
         return rows
 
 
@@ -65,28 +66,22 @@ class SemiringMatrices(Theory):
     ``coproduct``, ``zero`` and ``object_str``) and ``_diagnostic``, which
     turns a kernel ``EventViolation`` into their own error.
 
-    Over :data:`kernel.RATIONALS01` every event is a :class:`RationalEvent`.
-    Composition, cotupling, pairing and equality work on the integer forms,
-    and ``payload_key`` is the form, so no ``Fraction`` arithmetic is done
-    on those paths; the ``Fraction`` rows are built only where a payload is
-    read (``repr``, witnesses, JSON and theory files).
+    Every event is a :class:`MatrixEvent`.  Composition, cotupling, pairing
+    and equality work on the forms, and ``payload_key`` is the form, so over
+    the rationals no ``Fraction`` arithmetic is done on those paths; the
+    rows are built only where a payload is read (``repr``, witnesses, JSON
+    and theory files).
     """
 
     def _m(self, dom, cod, rows):
         rows = tuple(tuple(r) for r in rows)
-        if self.semiring is RATIONALS01:
-            return RationalEvent(self, dom, cod, kernel.rational_form(rows), rows)
-        return Morphism(self, dom, cod, rows)
+        return MatrixEvent(self, dom, cod, self.semiring.form(rows), rows)
 
     def _zero_one(self, dom, cod, bits):
         """The event whose matrix has the semiring's one where the rows of
         ``bits`` have 1, and its zero where they have 0."""
-        bits = tuple(tuple(r) for r in bits)
-        s = self.semiring
-        if s is RATIONALS01:
-            return RationalEvent(self, dom, cod, (bits, 1))
-        return Morphism(self, dom, cod, tuple(
-            tuple(s.one if x else s.zero for x in r) for r in bits))
+        return MatrixEvent(self, dom, cod, self.semiring.zero_one(
+            tuple(tuple(r) for r in bits)))
 
     def identity(self, a):
         n = self.object_size(a)
@@ -94,16 +89,12 @@ class SemiringMatrices(Theory):
                                      for i in range(n)])
 
     def _compose(self, g, f):
-        width = self.object_size(g.cod)
         try:
-            if self.semiring is RATIONALS01:
-                return RationalEvent(self, f.dom, g.cod, kernel.rational_product(
-                    f.form, g.form, width))
-            rows = kernel.semiring_product(
-                self.semiring, f.payload, g.payload, width)
+            form = self.semiring.product(f.form, g.form,
+                                         self.object_size(g.cod))
         except EventViolation as bad:
             raise self._diagnostic(bad) from None
-        return Morphism(self, f.dom, g.cod, rows)
+        return MatrixEvent(self, f.dom, g.cod, form)
 
     def zero_morphism(self, a, b):
         return self._zero_one(a, b, [[0] * self.object_size(b)
@@ -118,34 +109,21 @@ class SemiringMatrices(Theory):
                                for r in range(n)])
 
     def cotuple(self, summands, fs):
-        dom = self.coproduct(summands)
         cod = fs[0].cod if fs else self.zero()
-        if self.semiring is RATIONALS01:
-            return RationalEvent(self, dom, cod,
-                                 kernel.rational_stack([f.form for f in fs]))
-        return Morphism(self, dom, cod,
-                        tuple(row for f in fs for row in f.payload))
+        return MatrixEvent(self, self.coproduct(summands), cod,
+                           self.semiring.stack([f.form for f in fs]))
 
     def equal(self, f, g, tol=None):
-        if f.dom != g.dom or f.cod != g.cod:
-            return False
-        if self.semiring is RATIONALS01:
-            return f.form == g.form
-        return f.payload == g.payload
+        return f.dom == g.dom and f.cod == g.cod and f.form == g.form
 
     def payload_key(self, f):
-        if self.semiring is RATIONALS01:
-            return f.form
-        return f.payload
+        return f.form
 
     def try_pairing(self, events):
-        cod = self.coproduct(tuple(f.cod for f in events))
-        if self.semiring is RATIONALS01:
-            form = kernel.rational_side_by_side([f.form for f in events])
-            return None if form is None else RationalEvent(
-                self, events[0].dom, cod, form)
-        rows = kernel.side_by_side(self.semiring, [f.payload for f in events])
-        return None if rows is None else Morphism(self, events[0].dom, cod, rows)
+        form = self.semiring.side_by_side([f.form for f in events])
+        return None if form is None else MatrixEvent(
+            self, events[0].dom,
+            self.coproduct(tuple(f.cod for f in events)), form)
 
     def validate_event(self, payload, dom, cod):
         rows = tuple(tuple(r) for r in payload)
@@ -196,19 +174,8 @@ class MatrixTheory(SemiringMatrices):
 
     # -- tests and merging -------------------------------------------------
     def effect_complements(self, e):
-        if self.semiring is RATIONALS01:
-            # 1 - n/d is (d - n)/d, and d stays the least common denominator
-            numerators, d = e.form
-            if any(row[0] > d for row in numerators):
-                return []
-            return [RationalEvent(self, e.dom, 1, (
-                tuple((d - row[0],) for row in numerators), d))]
-        s = self.semiring
-        per_entry = [s.complements(e.payload[i][0]) for i in range(e.dom)]
-        if any(not c for c in per_entry):
-            return []
-        return [self._m(e.dom, 1, [[c] for c in combo])
-                for combo in product(*per_entry)]
+        return [MatrixEvent(self, e.dom, 1, form)
+                for form in self.semiring.effect_complements(e.form)]
 
     # -- enumeration -------------------------------------------------------
     def _valid_rows(self, m):
@@ -235,12 +202,6 @@ class MatrixTheory(SemiringMatrices):
             self._row_cache[key] = tuple(rows)
         return self._row_cache[key]
 
-    def _grid_numerators(self, rows):
-        """``rows`` of rationals on the grid as numerators over ``self.grid``."""
-        g = self.grid
-        return tuple(tuple(x.numerator * (g // x.denominator) for x in row)
-                     for row in rows)
-
     def hom_count(self, a, b):
         return len(self._valid_rows(b)) ** a
 
@@ -255,56 +216,24 @@ class MatrixTheory(SemiringMatrices):
         key = (a, b, self.grid)
         homs = self._homs.get(key)
         if homs is None:
-            valid = self._valid_rows(b)
-            combos = product(valid, repeat=a)
-            if self.semiring is RATIONALS01:
-                grid = self.grid
-                homs = tuple(
-                    RationalEvent(self, a, b, kernel.reduced_form(ns, grid), rows)
-                    for rows, ns in zip(combos, product(
-                        self._grid_numerators(valid), repeat=a)))
-            else:
-                homs = tuple(Morphism(self, a, b, rows) for rows in combos)
+            homs = tuple(self._m(a, b, rows)
+                         for rows in product(self._valid_rows(b), repeat=a))
             self._homs[key] = homs
         return homs
 
     def sample_hom(self, a, b, rng):
         rows = self._valid_rows(b)
-        picked = tuple(rows[rng.randrange(len(rows))] for _ in range(a))
-        if self.semiring is RATIONALS01:
-            return RationalEvent(self, a, b, kernel.reduced_form(
-                self._grid_numerators(picked), self.grid), picked)
-        return Morphism(self, a, b, picked)
+        return self._m(a, b, [rows[rng.randrange(len(rows))] for _ in range(a)])
 
     # -- monoidal structure ------------------------------------------------
     def tensor_obj(self, a, b):
         return a * b
 
     def tensor(self, f, g):
-        if self.semiring is RATIONALS01:
-            (fn, fd), (gn, gd) = f.form, g.form
-            return RationalEvent(self, f.dom * g.dom, f.cod * g.cod,
-                                 kernel.reduced_form(tuple(
-                                     tuple(x * y for x in frow for y in grow)
-                                     for frow in fn for grow in gn), fd * gd))
-        s = self.semiring
-        rows = []
-        for i in range(f.dom):
-            for p in range(g.dom):
-                row = []
-                for j in range(f.cod):
-                    for q in range(g.cod):
-                        row.append(s.mul(f.payload[i][j], g.payload[p][q]))
-                rows.append(row)
-        return self._m(f.dom * g.dom, f.cod * g.cod, rows)
-
-    def unitor_right(self, a):
-        return self.identity(a)
+        return MatrixEvent(self, f.dom * g.dom, f.cod * g.cod,
+                           self.semiring.kron(f.form, g.form))
 
     def unitor_left(self, a):
-        return self.identity(a)
-
-    def unitor_right_inv(self, a):
         return self.identity(a)
 
     # -- validation --------------------------------------------------------

@@ -151,17 +151,9 @@ class PFunTheory(Theory):
         return self._m(dom, cod,
                        [((x, p), (y, q)) for x, y in f.payload for p, q in g.payload])
 
-    def unitor_right(self, a):
-        return self._m(self.tensor_obj(a, self.unit()), a,
-                       [((x, "*"), x) for x in a])
-
     def unitor_left(self, a):
         return self._m(self.tensor_obj(self.unit(), a), a,
                        [(("*", x), x) for x in a])
-
-    def unitor_right_inv(self, a):
-        return self._m(a, self.tensor_obj(a, self.unit()),
-                       [(x, (x, "*")) for x in a])
 
     # -- validation --------------------------------------------------------
     def validate_event(self, payload, dom, cod):

@@ -2,12 +2,18 @@
 complex-matrix checks.
 
 Exact rational values are ``fractions.Fraction``, which already keeps them
-in lowest terms with a positive denominator.  A rational matrix also has a
-canonical integer form, its numerators over their least common denominator
-(:func:`rational_form`).  The product, the side-by-side join and the
-stacking of rational matrices are computed from their forms over plain
-Python integers and return a form only; :func:`rational_rows` turns a form
-back into ``Fraction`` rows where those are read.
+in lowest terms with a positive denominator.
+A matrix theory holds each event in its carrier's *form* and leaves all
+matrix arithmetic (product, stacking, pairing, Kronecker product and
+effect complements) to the :class:`Semiring` methods on that form.  By
+default the form is the tuple of rows itself.  The rationals
+(:data:`RATIONALS01`, a :class:`RationalSemiring`) use the canonical
+integer form instead, the numerators over their least common denominator
+(:func:`rational_form`), and compute on plain Python integers;
+:func:`rational_rows` turns a form back into ``Fraction`` rows where those
+are read.  :func:`semiring_product` and :func:`check_event` work on rows
+over the semiring's own operations; they are the reference the integer
+path is tested against.
 Floating point is confined to the complex-matrix helpers; every tolerance
 is passed explicitly.
 """
@@ -82,6 +88,58 @@ class Semiring:
 
     def __repr__(self):
         return f"Semiring({self.name})"
+
+    # -- matrices in the carrier's form --------------------------------------
+    # A matrix theory holds each event in its carrier's form and leaves all
+    # matrix arithmetic to these methods.  Here the form is the tuple of
+    # row tuples itself; a subclass that chooses another form overrides
+    # them all together.
+
+    def form(self, rows):
+        """The form of the matrix ``rows``, a tuple of row tuples."""
+        return rows
+
+    def rows(self, form):
+        """The rows of the matrix whose form is ``form``."""
+        return form
+
+    def zero_one(self, bits):
+        """The form of the matrix with one where the rows ``bits`` have 1
+        and zero where they have 0."""
+        one, zero = self.one, self.zero
+        return tuple(tuple(one if x else zero for x in row) for row in bits)
+
+    def product(self, f, g, width):
+        """The form of the checked event ``f`` times ``g``, ``width`` being
+        the number of columns of ``g``: :func:`semiring_product`."""
+        return semiring_product(self, f, g, width)
+
+    def stack(self, forms):
+        """The matrices stacked row by row: a cotuple."""
+        return tuple(row for f in forms for row in f)
+
+    def side_by_side(self, forms):
+        """The matrices joined row by row, or None when a joined row sums
+        outside the sub-unit subset: the pairing of events with a common
+        domain."""
+        rows = tuple(tuple(x for m in parts for x in m) for parts in zip(*forms))
+        if all(row_in_unit(self, row) for row in rows):
+            return rows
+        return None
+
+    def kron(self, f, g):
+        """The Kronecker product of two matrices: their tensor."""
+        mul = self.mul
+        return tuple(tuple(mul(x, y) for x in frow for y in grow)
+                     for frow in f for grow in g)
+
+    def effect_complements(self, form):
+        """The forms of the one-column matrices whose every entry complements
+        the entry of ``form`` in its row, in the order of ``complements``."""
+        per_entry = [self.complements(row[0]) for row in form]
+        if not all(per_entry):
+            return []
+        return [tuple((c,) for c in combo) for combo in product(*per_entry)]
 
 
 class FiniteSemiring(Semiring):
@@ -234,28 +292,6 @@ BOOLEANS = FiniteSemiring(
     zero=0, one=1,
 )
 
-# Nonnegative rationals; the sub-unit subset is the rationals in [0, 1].
-RATIONALS01 = RuleSemiring(
-    "rationals01",
-    monotone=True,
-    zero=Fraction(0), one=Fraction(1),
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
-    contains=lambda a: isinstance(a, Fraction) and a >= 0,
-    complements=lambda a: (1 - a,) if a <= 1 else (),
-    grid_elements=lambda grid: tuple(Fraction(k, grid) for k in range(grid + 1)),
-    element_str=rational_str,
-    parse_element=parse_rational,
-)
-
-BUILTIN_SEMIRINGS = {
-    "integers": INTEGERS,
-    "naturals": NATURALS,
-    "booleans": BOOLEANS,
-    "rationals01": RATIONALS01,
-}
-
-
 # ---------------------------------------------------------------------------
 # Semiring matrices: the product and the event check shared by every matrix
 # theory.  A matrix is a tuple of row tuples; an event is a matrix whose
@@ -391,8 +427,8 @@ def rational_stack(forms):
 
 
 def rational_side_by_side(forms):
-    """:func:`side_by_side` over :data:`RATIONALS01` on forms: the form of
-    the matrices joined row by row, or None when a joined row's numerators
+    """:meth:`Semiring.side_by_side` on rational forms: the form of the
+    matrices joined row by row, or None when a joined row's numerators
     sum past the common denominator, that is the row sums past one."""
     parts, d = _over_lcm(forms)
     rows = []
@@ -413,14 +449,54 @@ def row_in_unit(semiring, row):
     return s.in_unit_interval(total)
 
 
-def side_by_side(semiring, matrices):
-    """The matrices joined row by row, or None when a joined row sums
-    outside the sub-unit subset: the pairing of events with a common domain
-    in a matrix theory."""
-    rows = tuple(tuple(x for m in parts for x in m) for parts in zip(*matrices))
-    if all(row_in_unit(semiring, row) for row in rows):
-        return rows
-    return None
+class RationalSemiring(RuleSemiring):
+    """A carrier of ``Fraction``s whose matrix form is the canonical integer
+    form ``(numerators, d)`` of :func:`rational_form`, so every matrix
+    operation runs on plain Python integers; ``rows`` builds the
+    ``Fraction`` rows where those are read."""
+
+    form = staticmethod(rational_form)
+    rows = staticmethod(rational_rows)
+    product = staticmethod(rational_product)
+    stack = staticmethod(rational_stack)
+    side_by_side = staticmethod(rational_side_by_side)
+
+    def zero_one(self, bits):
+        return bits, 1
+
+    def kron(self, f, g):
+        (fn, fd), (gn, gd) = f, g
+        return reduced_form(tuple(tuple(x * y for x in frow for y in grow)
+                                  for frow in fn for grow in gn), fd * gd)
+
+    def effect_complements(self, form):
+        # 1 - n/d is (d - n)/d, and d stays the least common denominator
+        numerators, d = form
+        if any(row[0] > d for row in numerators):
+            return []
+        return [(tuple((d - row[0],) for row in numerators), d)]
+
+
+# Nonnegative rationals; the sub-unit subset is the rationals in [0, 1].
+RATIONALS01 = RationalSemiring(
+    "rationals01",
+    monotone=True,
+    zero=Fraction(0), one=Fraction(1),
+    add=lambda a, b: a + b,
+    mul=lambda a, b: a * b,
+    contains=lambda a: isinstance(a, Fraction) and a >= 0,
+    complements=lambda a: (1 - a,) if a <= 1 else (),
+    grid_elements=lambda grid: tuple(Fraction(k, grid) for k in range(grid + 1)),
+    element_str=rational_str,
+    parse_element=parse_rational,
+)
+
+BUILTIN_SEMIRINGS = {
+    "integers": INTEGERS,
+    "naturals": NATURALS,
+    "booleans": BOOLEANS,
+    "rationals01": RATIONALS01,
+}
 
 
 # ---------------------------------------------------------------------------

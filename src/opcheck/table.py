@@ -18,8 +18,15 @@ from __future__ import annotations
 
 from itertools import product
 
-from . import kernel
-from .errors import BoundExceeded, NotEnumerable, TheoryFileError, ValidationError
+from . import kernel, ops
+from .errors import (
+    BoundExceeded,
+    CompositionError,
+    Incompatible,
+    NotEnumerable,
+    TheoryFileError,
+    ValidationError,
+)
 from .instances.matrix import SemiringMatrices
 
 
@@ -142,7 +149,6 @@ class TableTheory(SemiringMatrices):
         return None
 
     def validate_tables(self):
-        s = self.semiring
         if self.unit_name not in self.sizes:
             raise TheoryFileError(f"unit object {self.unit_name!r} not declared",
                                   "objects")
@@ -186,14 +192,11 @@ class TableTheory(SemiringMatrices):
             for fn, fp in fs:
                 f = self._m((x,), (y,), fp)
                 for gn, gp in fs:
-                    g = self._m((x,), (y,), gp)
-                    h = self.try_pairing([f, g])
-                    if h is None:
+                    try:
+                        merged = ops.coarse_grain(f, self._m((x,), (y,), gp))
+                    except Incompatible:
                         continue
-                    merged = tuple(
-                        tuple(s.add(fp[i][j], gp[i][j]) for j in range(len(fp[i])))
-                        for i in range(len(fp)))
-                    if self._find(x, y, merged) is None:
+                    if self._find(x, y, merged.payload) is None:
                         raise TheoryFileError(
                             f"merge {fn!r} v {gn!r} not listed", f"hom({x},{y})")
         # declared tests must form partial tests
@@ -220,13 +223,11 @@ class TableTheory(SemiringMatrices):
                         f"coarse-grain entry names unknown event {nm!r}",
                         "coarse_grain")
             f, g, h = by_name[fn][0], by_name[gn][0], by_name[hn][0]
-            if self.try_pairing([f, g]) is None:
+            try:
+                merged = ops.coarse_grain(f, g)
+            except (CompositionError, Incompatible):
                 raise TheoryFileError(
-                    f"{fn!r} and {gn!r} are not compatible", "coarse_grain")
-            merged = tuple(
-                tuple(s.add(f.payload[i][j], g.payload[i][j])
-                      for j in range(len(f.payload[i])))
-                for i in range(len(f.payload)))
-            if merged != h.payload:
+                    f"{fn!r} and {gn!r} are not compatible", "coarse_grain") from None
+            if merged.payload != h.payload:
                 raise TheoryFileError(
                     f"{fn!r} v {gn!r} does not equal {hn!r}", "coarse_grain")

@@ -11,7 +11,7 @@ All values are immutable after construction and every operation is a pure
 function, so theories may be shared freely between workers.  The
 exceptions are derived caches that never change what a value is: a
 cpsu morphism's ``form`` slot, which it fills on first use with a value
-computed from the payload alone; the payload of a rational matrix event,
+computed from the payload alone; the payload of a semiring-matrix event,
 which is derived from its form on first read (the form itself is set when
 the event is born); and an instance's memo of the homsets it has
 enumerated.
@@ -31,10 +31,10 @@ class Morphism:
 
     ``form`` is None or a value that the owning theory derives from the
     payload alone and keeps: cpsu keeps the unital image of each entry
-    there.  It never changes what the morphism is.  A rational matrix event
-    (``instances.matrix.RationalEvent``) turns this around: its canonical
-    integer form is always set when it is born, and its payload of
-    ``Fraction`` rows is derived from that form on first read.
+    there.  It never changes what the morphism is.  A semiring-matrix event
+    (``instances.matrix.MatrixEvent``) turns this around: it is born in its
+    carrier's form, on which all its arithmetic is done, and its payload of
+    rows is derived from that form on first read.
     """
 
     __slots__ = ("theory", "dom", "cod", "payload", "form")
@@ -206,14 +206,8 @@ class Theory:
     def tensor(self, f, g):
         raise NotMonoidal(f"{self.name} has no tensor")
 
-    def unitor_right(self, a):
-        """The canonical isomorphism from ``a`` tensor unit to ``a``."""
-        raise NotMonoidal(f"{self.name} has no tensor")
-
     def unitor_left(self, a):
-        raise NotMonoidal(f"{self.name} has no tensor")
-
-    def unitor_right_inv(self, a):
+        """The canonical isomorphism from unit tensor ``a`` to ``a``."""
         raise NotMonoidal(f"{self.name} has no tensor")
 
     # -- validation --------------------------------------------------------

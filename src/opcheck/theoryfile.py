@@ -83,6 +83,10 @@ def _parse_builtin(doc):
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise TheoryFileError("parameters must be an object", "parameters")
+    for key in params:
+        if key not in ("grid", "tol", "semiring"):
+            raise TheoryFileError(f"unknown parameter {key!r}",
+                                  f"parameters.{key}")
     if name == "pfun":
         return PFunTheory()
     if name == "substoch":

@@ -12,14 +12,13 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import opcheck
 from opcheck import ops
-from opcheck.checker import CHECK_IDS, ProbeConfig, classify, run_check
+from opcheck.checker import ProbeConfig, classify, run_check
 from opcheck.constructions import (
     PlusTheory,
     direct_sum_verify,

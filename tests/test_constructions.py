@@ -10,10 +10,7 @@ from opcheck import ops
 from opcheck.checker import ProbeConfig, classify
 from opcheck.constructions import (
     ANCILLA_BOUND,
-    ExtendedFunctor,
-    ParTheory,
     PlusTheory,
-    QuotientTheory,
     direct_sum_verify,
     extension_functor,
     par,

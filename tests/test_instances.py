@@ -298,7 +298,6 @@ def test_cpsu_reuses_frozen_entries_and_freezes_every_entry(monkeypatch):
     events = [f, g, h, cotuple, zero, paired, effect,
               cpsu.identity(a), cpsu.coprojection((a, c), 1), cpsu.discard(a),
               cpsu.tensor(f, g), cpsu.compose(h, g), cpsu.unitor_left(a),
-              cpsu.unitor_right(a), cpsu.unitor_right_inv(a),
               cpsu.validate_event(f.payload, a, b),
               *cpsu.effect_complements(effect)]
     assert all(_frozen(e) for e in events)

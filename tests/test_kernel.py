@@ -3,6 +3,7 @@ complex-matrix helpers."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcheck.errors import EventViolation, OpcheckError, SemiringLawError
-from opcheck.instances import SubStochTheory
-from opcheck.instances.matrix import RationalEvent
+from opcheck.instances import MatrixTheory, SubStochTheory
+from opcheck.instances.matrix import MatrixEvent
 from opcheck.kernel import (
     BOOLEANS,
     BUILTIN_SEMIRINGS,
@@ -245,13 +246,6 @@ def _side_by_side_reference(matrices):
     return None
 
 
-def _tensor_reference(f_rows, g_rows):
-    """The Kronecker product of ``Fraction`` rows by ``RATIONALS01.mul``."""
-    mul = RATIONALS01.mul
-    return tuple(tuple(mul(x, y) for x in frow for y in grow)
-                 for frow in f_rows for grow in g_rows)
-
-
 @st.composite
 def _families(draw, common_rows=True):
     """Matrices with a common number of rows (or of columns), each on its
@@ -285,64 +279,122 @@ def test_form_stacking_matches_row_concatenation(mats):
     assert rational_rows(stacked) == want
 
 
-def _born_events(sub, data):
-    """Events of ``sub`` built every way a substochastic event is born,
-    each with the ``Fraction`` rows it must have (None where the
-    reference is the payload itself)."""
-    a, b, c = (data.draw(_sizes) for _ in range(3))
+def _sums_into_unit(s, row):
+    total = s.zero
+    for x in row:
+        total = s.add(total, x)
+    return s.in_unit_interval(total)
 
-    def drawn(n, m):
-        rows = data.draw(_substochastic(n, m, data.draw(_grids)))
-        return sub.validate_event(rows, n, m)
-    f, h, g, k = drawn(a, b), drawn(c, b), drawn(a, c), drawn(b, c)
-    effect = drawn(a, 1)
-    rng = random.Random(data.draw(st.integers(min_value=0, max_value=99)))
-    s = RATIONALS01
+
+def _event_rows(s, m, elements):
+    """Every row of ``m`` entries from ``elements`` that an event over the
+    semiring ``s`` may have, in lexicographic order."""
+    return [row for row in product(elements, repeat=m)
+            if all(s.in_unit_interval(x) for x in row) and _sums_into_unit(s, row)]
+
+
+def _born_events(th, data, sizes, drawn):
+    """Events of the matrix theory ``th`` built every way a matrix event is
+    born, each with the rows it must have, computed on plain rows by the
+    carrier's own ``add`` and ``mul``.  ``drawn(n, m)`` draws the rows of
+    an n-by-m event.  Enumeration is checked on its own, on homsets up to
+    2-by-2."""
+    s = th.semiring
+    one, zero = s.one, s.zero
+    a, b, c = (data.draw(sizes) for _ in range(3))
+
+    def event(n, m):
+        rows = drawn(n, m)
+        return th.validate_event(rows, n, m), rows
+
+    def ones(n, m, col):
+        return tuple(tuple(one if j == col(i) else zero for j in range(m))
+                     for i in range(n))
+    (f, fr), (h, hr), (g, gr), (k, kr), (effect, er) = (
+        event(a, b), event(c, b), event(a, c), event(b, c), event(a, 1))
     born = [
-        (f, None), (effect, None),
-        (sub.identity(a), None), (sub.zero_morphism(a, b), None),
-        (sub.coprojection((a, b), 0), None),
-        (sub.coprojection((a, b), 1), None),
-        (sub.discard(a), None),
-        (sub.compose(k, f), semiring_product(s, f.payload, k.payload, c)),
-        (sub.cotuple((a, c), [f, h]), f.payload + h.payload),
-        (sub.tensor(f, k), _tensor_reference(f.payload, k.payload)),
-        (sub.sample_hom(a, b, rng), None),
+        (f, fr), (effect, er),
+        (th.identity(a), ones(a, a, lambda i: i)),
+        (th.zero_morphism(a, b), ones(a, b, lambda i: None)),
+        (th.coprojection((a, b), 0), ones(a, a + b, lambda i: i)),
+        (th.coprojection((a, b), 1), ones(b, a + b, lambda i: a + i)),
+        (th.discard(a), ones(a, 1, lambda i: 0)),
+        (th.compose(k, f), _naive_product(s, fr, kr, c)),
+        (th.cotuple((a, c), [f, h]), fr + hr),
+        (th.tensor(f, k), tuple(tuple(s.mul(x, y) for x in frow for y in krow)
+                                for frow in fr for krow in kr)),
     ]
-    (complement,) = sub.effect_complements(effect)
-    born.append((complement, tuple((s.complements(x)[0],)
-                                   for (x,) in effect.payload)))
-    paired = sub.try_pairing([f, g])
-    want = _side_by_side_reference([f.payload, g.payload])
-    assert (paired is None) == (want is None)
+    complements = th.effect_complements(effect)
+    want = [tuple((x,) for x in combo)
+            for combo in product(*[s.complements(x) for (x,) in er])]
+    assert [e.payload for e in complements] == want
+    born += zip(complements, want)
+    joined = tuple(x + y for x, y in zip(fr, gr))
+    paired = th.try_pairing([f, g])
+    assert (paired is None) == (not all(_sums_into_unit(s, row) for row in joined))
     if paired is not None:
-        born.append((paired, want))
+        born.append((paired, joined))
+    valid = _event_rows(s, b, s.grid_elements(th.grid))
+    seed = data.draw(st.integers(min_value=0, max_value=99))
+    rng = random.Random(seed)
+    born.append((th.sample_hom(a, b, random.Random(seed)),
+                 tuple(valid[rng.randrange(len(valid))] for _ in range(a))))
+    a, b = min(a, 2), min(b, 2)
+    hom = th.enumerate_hom(a, b)
+    want = list(product(_event_rows(s, b, s.grid_elements(th.grid)), repeat=a))
+    assert [e.payload for e in hom] == want
+    assert [e.form for e in hom] == [s.form(rows) for rows in want]
     return born
+
+
+def _check_born(th, born):
+    """Each event has the form of its reference rows, a lazily built
+    payload with the reference ``repr``, and an ``equal`` that agrees with
+    payload equality."""
+    for e, want in born:
+        lazy = MatrixEvent(th, e.dom, e.cod, e.form)
+        assert e.form == th.semiring.form(want)
+        assert repr(lazy) == repr(th._m(e.dom, e.cod, want))
+        assert lazy.payload == want
+        assert e.payload == want
+    events = [e for e, _ in born]
+    for x in events:
+        for y in events:
+            assert th.equal(x, y) == (x.dom == y.dom and x.cod == y.cod
+                                      and x.payload == y.payload)
+    f = events[0]
+    assert th.equal(th.compose(th.identity(f.cod), f), f)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_grids, st.data())
 def test_rational_events_are_born_in_the_form_of_their_payload(grid, data):
-    """Every way of building a substochastic event gives the form of its
-    reference rows, a lazily built payload with the reference ``repr``,
-    and an ``equal`` that agrees with ``Fraction`` payload equality."""
     sub = SubStochTheory(grid=grid)
-    born = _born_events(sub, data)
-    for e, want in born:
-        lazy = RationalEvent(sub, e.dom, e.cod, e.form)
-        rows = e.payload if want is None else want
-        assert e.form == rational_form(rows)
-        assert repr(lazy) == repr(sub._m(e.dom, e.cod, rows))
-        assert lazy.payload == rows
-        if want is not None:
-            assert e.payload == want
-    events = [e for e, _ in born]
-    for x in events:
-        for y in events:
-            assert sub.equal(x, y) == (x.dom == y.dom and x.cod == y.cod
-                                       and x.payload == y.payload)
-    f = events[0]
-    assert sub.equal(sub.compose(sub.identity(f.cod), f), f)
+    _check_born(sub, _born_events(
+        sub, data, _sizes,
+        lambda n, m: data.draw(_substochastic(n, m, data.draw(_grids)))))
+
+
+@pytest.mark.parametrize("semiring,grid,elements", [
+    (BOOLEANS, 1, (0, 1)),
+    (INTEGERS, 1, (-2, -1, 0, 1, 2)),
+    (NATURALS, 2, (0, 1, 2)),
+], ids=["booleans", "integers", "naturals"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_matrix_events_over_other_carriers_match_plain_rows(semiring, grid,
+                                                           elements, data):
+    """The carriers whose form is the rows themselves run through the same
+    ``Semiring`` methods as the rationals; the pairing of two identities is
+    refused exactly where one plus one has no complement."""
+    th = MatrixTheory(semiring, grid=grid)
+    rows = {m: _event_rows(semiring, m, elements) for m in range(3)}
+    _check_born(th, _born_events(
+        th, data, st.integers(min_value=0, max_value=2),
+        lambda n, m: tuple(data.draw(st.sampled_from(rows[m])) for _ in range(n))))
+    pair = th.try_pairing([th.identity(1), th.identity(1)])
+    assert (pair is None) == (not semiring.in_unit_interval(
+        semiring.add(semiring.one, semiring.one)))
 
 
 @pytest.mark.parametrize("grid", range(1, 7))
@@ -352,7 +404,7 @@ def test_enumerated_events_carry_the_form_of_their_payload(grid):
         for b in range(3):
             for f in sub.enumerate_hom(a, b):
                 assert f.form == rational_form(f.payload)
-                lazy = RationalEvent(sub, a, b, f.form)
+                lazy = MatrixEvent(sub, a, b, f.form)
                 assert repr(lazy) == repr(f)
 
 

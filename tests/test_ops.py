@@ -10,7 +10,6 @@ import pytest
 from opcheck import ops
 from opcheck.errors import (
     Incompatible,
-    NoComplement,
     NonUniqueComplement,
     NotAPartialTest,
 )

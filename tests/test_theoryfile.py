@@ -1,6 +1,5 @@
 """Theory files: parsing, validation errors with locations, round trips."""
 
-import copy
 import json
 from pathlib import Path
 
@@ -152,7 +151,9 @@ def test_zero_denominator_entry_reports_its_path():
     ("substoch", {"grid": "x"}, "grid"),
     ("mat", {"semiring": "integers", "grid": -1}, "grid"),
     ("cpsu", {"tol": "abc"}, "tol"),
-], ids=["grid-zero", "grid-not-an-integer", "grid-negative", "tol-not-a-number"])
+    ("substoch", {"gird": 2}, "gird"),
+], ids=["grid-zero", "grid-not-an-integer", "grid-negative", "tol-not-a-number",
+        "unknown-key"])
 def test_builtin_parameters_outside_the_schema_report_their_path(name, params,
                                                                  key):
     doc = {"format": "optheory/1", "kind": "builtin", "name": name,
@@ -162,6 +163,16 @@ def test_builtin_parameters_outside_the_schema_report_their_path(name, params,
     with pytest.raises(TheoryFileError) as exc:
         parse_doc(doc)
     assert location_of(exc) == f"parameters.{key}"
+
+
+def test_coarse_grain_entry_of_non_parallel_events_is_rejected():
+    # zero_II : I -> I and top_X : X -> I have matrices of the same shape,
+    # and their entries sum to id_I's, but they are not parallel
+    doc = stateless_doc()
+    doc["coarse_grain"] = [["zero_II", "top_X", "id_I"]]
+    with pytest.raises(TheoryFileError) as exc:
+        parse_doc(doc)
+    assert location_of(exc) == "coarse_grain"
 
 
 def test_undeclared_object_in_event():
