@@ -14,7 +14,9 @@ algebras, whose entries are completely positive maps between single blocks.
 A subclass sets ``self.entries`` to the object that supplies the entry
 operations (``identity``, ``zero_morphism``, ``discard``, ``equal``,
 ``effect_complements``, ``rounded_key``, ``object_size``, ``tensor_obj``,
-``tensor`` and the unitor ``unitor_left``), and defines:
+``tensor`` and the unitor ``unitor_left``); an entry that ``zero_morphism``
+or ``identity`` returns may be one shared read-only object, so grids never
+write to their entries.  A subclass defines:
 
 - ``unit``, ``object_str`` and ``probe_objects``;
 - ``_m(dom, cod, grid)``, which wraps a grid as a morphism;

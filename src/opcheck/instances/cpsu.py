@@ -16,6 +16,16 @@ the flattened block, so validity is decided up to the configured ``tol``.
 A one-dimensional block is its own eigenvalue, so it skips the eigensolver
 (:func:`opcheck.kernel.min_eigenvalue`).
 
+The zero block and the identity block of each shape are shared read-only
+arrays, built once: every zero morphism, identity, coprojection,
+projection and codiagonal holds these very objects.  A product tells them
+apart by object identity, never by value: it leaves out each term with a
+shared zero factor, takes the other factor as it is when one factor is a
+shared identity, and sums what is left from its first term.  Each entry
+then equals the full sum over every block up to the sign of zero, so a
+product with a coprojection selects entries and a merge (the codiagonal
+after a pairing) adds them, without an ``einsum``.
+
 An event keeps the unital image of each of its entries in ``Morphism.form``,
 filled on first use; a pairing assembles its rows' images from its events'
 images and decides sub-unitality from them.
@@ -56,6 +66,13 @@ def _eye(d):
 
 
 @functools.cache
+def _block_zero(d, e):
+    """The block of the zero map from the d-by-d to the e-by-e matrices
+    (shared)."""
+    return _freeze(np.zeros((e, d, e, d), dtype=complex))
+
+
+@functools.cache
 def _block_identity(d):
     """The block of the identity map on the d-by-d matrices (shared)."""
     c = np.zeros((d, d, d, d), dtype=complex)
@@ -85,16 +102,23 @@ class CpBlocks:
     unitor_left = identity
 
     def zero_morphism(self, d, e):
-        return np.zeros((e, d, e, d), dtype=complex)
+        return _block_zero(d, e)
 
     def discard(self, d):
         return _eye(d).reshape(1, d, 1, d)
 
     def equal(self, c1, c2, tol=None):
-        return kernel.matrix_approx_eq(c1, c2, self.tol if tol is None else tol)
+        if c1 is c2:
+            return True
+        if c1.shape != c2.shape:
+            return False
+        tol = self.tol if tol is None else tol
+        return bool(np.abs(c1 - c2).max(initial=0.0) <= tol)
 
     def rounded_key(self, c):
-        return tuple((round(z.real, 6), round(z.imag, 6)) for z in c.ravel())
+        # adding 0.0 turns -0.0 into 0.0, so that entries equal up to the
+        # sign of zero give the same bytes
+        return (np.round(c, 6) + 0.0).tobytes()
 
     def effect_complements(self, c):
         d = c.shape[1]
@@ -141,11 +165,23 @@ class CpsuTheory(BlockMatrices):
         return Morphism(self, dom, cod, frozen)
 
     def _dot(self, x, z, row, col):
-        # pull an effect on block z back through col[j], then through row[j]
-        acc = np.zeros((z, x, z, x), dtype=complex)
+        # pull an effect on block z back through col[j], then through row[j];
+        # the shared zero and identity blocks are tested by identity (see
+        # the module docstring)
+        one_x, one_z = _block_identity(x), _block_identity(z)
+        acc = None
         for f, g in zip(row, col):
-            acc += np.einsum("pkql,kalb->paqb", g, f)
-        return acc
+            y = f.shape[0]
+            if f is _block_zero(x, y) or g is _block_zero(y, z):
+                continue
+            if f is one_x:
+                term = g
+            elif g is one_z:
+                term = f
+            else:
+                term = np.einsum("pkql,kalb->paqb", g, f)
+            acc = term if acc is None else acc + term
+        return _block_zero(x, z) if acc is None else acc
 
     # -- tests and merging -------------------------------------------------
     @staticmethod
@@ -164,10 +200,7 @@ class CpsuTheory(BlockMatrices):
         """``(i, defect)`` for the first row ``i`` whose unital ``images`` do
         not sum below the identity, or None when every row is sub-unital."""
         for i, (d, row) in enumerate(zip(dom, images)):
-            img = np.zeros((d, d), dtype=complex)
-            for im in row:
-                img += im
-            defect = _eye(d) - img
+            defect = _eye(d) - sum(row[1:], row[0]) if row else _eye(d)
             if not kernel.choi_positivity(defect, self.tol):
                 return i, defect
         return None
@@ -196,13 +229,10 @@ class CpsuTheory(BlockMatrices):
         for d in a:
             row = []
             for e in b:
-                k = normals[at:at + 4 * e * d].reshape(4, e, d)
+                k = normals[at:at + 4 * e * d].reshape(2, 2, e, d)
                 at += 4 * e * d
-                k1 = k[0] + 1j * k[1]
-                k2 = k[2] + 1j * k[3]
-                c = (np.einsum("ka,lb->kalb", k1.conj(), k1)
-                     + np.einsum("ka,lb->kalb", k2.conj(), k2))
-                row.append(c)
+                kraus = k[:, 0] + 1j * k[:, 1]
+                row.append(np.einsum("nka,nlb->kalb", kraus.conj(), kraus))
             blocks.append(row)
         # scale each domain block so the unital images sum below identity
         peaks = np_rng.uniform(0.1, 1.0, size=len(a))

@@ -532,12 +532,17 @@ def min_eigenvalue(m):
 
 
 def choi_positivity(c, tol=DEFAULT_TOL):
-    """True iff ``c`` is Hermitian within ``tol`` with min eigenvalue >= -tol."""
+    """True iff ``c`` is Hermitian within ``tol`` with min eigenvalue >= -tol.
+    A 1-by-1 matrix is decided on its entry as a Python ``complex``, by the
+    same comparisons that the array path makes."""
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"positivity check needs a square matrix, got shape {c.shape}")
     if c.size == 0:
         return True
+    if c.shape == (1, 1):
+        z = c.item()
+        return abs(z - z.conjugate()) <= tol and z.real >= -tol
     if not is_hermitian(c, tol):
         return False
     return min_eigenvalue(c) >= -tol

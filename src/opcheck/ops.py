@@ -54,11 +54,16 @@ def projection(theory, summands, i):
 
 
 def codiagonal(theory, n, a):
-    """The fold map from the n-fold coproduct of ``a`` back onto ``a``."""
+    """The fold map from the n-fold coproduct of ``a`` back onto ``a``,
+    built once per ``(n, a)`` and kept in the theory's ``_codiagonals``."""
     if n < 1:
         raise ValueError("codiagonal needs at least one summand")
-    summands = (a,) * n
-    return theory.cotuple(summands, [theory.identity(a)] * n)
+    memo = vars(theory).setdefault("_codiagonals", {})
+    nabla = memo.get((n, a))
+    if nabla is None:
+        nabla = theory.cotuple((a,) * n, [theory.identity(a)] * n)
+        memo[(n, a)] = nabla
+    return nabla
 
 
 def is_total(f):

@@ -13,8 +13,9 @@ exceptions are derived caches that never change what a value is: a
 cpsu morphism's ``form`` slot, which it fills on first use with a value
 computed from the payload alone; the payload of a semiring-matrix event,
 which is derived from its form on first read (the form itself is set when
-the event is born); and an instance's memo of the homsets it has
-enumerated.
+the event is born); an instance's memo of the homsets it has
+enumerated; and its memo of the codiagonals that ``ops.codiagonal`` has
+built.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ equivalence: reparsing a serialized document yields the same theory.
 from __future__ import annotations
 
 import json
+import sys
 
 from . import kernel
 from .constructions import PlusTheory, plus_completion
@@ -93,9 +94,11 @@ def _parse_builtin(doc):
         return SubStochTheory(grid=_grid(params, 4))
     if name == "cpsu":
         tol = params.get("tol", kernel.DEFAULT_TOL)
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-            raise TheoryFileError(f"tol must be a number, got {tol!r}",
-                                  "parameters.tol")
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not 0 < tol <= sys.float_info.max):
+            raise TheoryFileError(
+                f"tol must be a finite number > 0, got {tol!r}",
+                "parameters.tol")
         return CpsuTheory(tol=float(tol))
     if name == "mat":
         semiring = _parse_semiring(_require(params, "semiring", "parameters"),

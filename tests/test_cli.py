@@ -116,6 +116,17 @@ def test_negative_grid_in_a_theory_file_exits_two(capsys, tmp_path):
     assert "(at parameters.grid)" in err
 
 
+@pytest.mark.parametrize("tol", [-1e-9, 0, float("nan")])
+def test_tol_outside_its_range_in_a_theory_file_exits_two(capsys, tmp_path,
+                                                          tol):
+    path = tmp_path / "bad_tol.theory"
+    path.write_text(json.dumps({"format": "optheory/1", "kind": "builtin",
+                                "name": "cpsu", "parameters": {"tol": tol}}))
+    code, _, err = run(capsys, "classify", str(path), "--bound", "1")
+    assert code == 2
+    assert "(at parameters.tol)" in err
+
+
 def test_complete_requires_bound_for_builtins(capsys):
     code, _, err = run(capsys, "complete", str(FIXTURES / "substoch.theory"))
     assert code == 2

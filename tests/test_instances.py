@@ -303,6 +303,133 @@ def test_cpsu_reuses_frozen_entries_and_freezes_every_entry(monkeypatch):
     assert all(_frozen(e) for e in events)
 
 
+def _reference_product(g, f):
+    """The blocks of ``g`` after ``f``, each summed from zeros over every
+    ``j``, shared blocks included."""
+    cols = list(zip(*g.payload)) if g.payload else [()] * len(g.cod)
+    out = []
+    for x, row in zip(f.dom, f.payload):
+        out_row = []
+        for z, col in zip(g.cod, cols):
+            acc = np.zeros((z, x, z, x), dtype=complex)
+            for fj, gj in zip(row, col):
+                acc += np.einsum("pkql,kalb->paqb", gj, fj)
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _assert_blocks_equal(got, want):
+    # np.array_equal compares with ==, so 0.0 and -0.0 agree
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for row, ref_row in zip(got, want):
+        assert all(np.array_equal(c, ref) for c, ref in zip(row, ref_row))
+
+
+def _halved(cpsu, f):
+    return cpsu._m(f.dom, f.cod, [[0.5 * c for c in row] for row in f.payload])
+
+
+def test_cpsu_products_agree_with_the_sum_over_every_block():
+    cpsu = CpsuTheory()
+    objs = cpsu.probe_objects(2) + [(3,), (2, 1)]
+    rng = random.Random(7)
+    pool = [cpsu.identity(a) for a in objs]
+    for a, b in product(objs, objs):
+        pool += [cpsu.sample_hom(a, b, rng), cpsu.zero_morphism(a, b),
+                 # numerically zero, but not built from the shared blocks
+                 cpsu._m(a, b, [[np.zeros((e, d, e, d)) for e in b]
+                                for d in a])]
+    merges = []
+    for a, c in product(objs, objs):
+        summands = (a, c)
+        ac = cpsu.coproduct(summands)
+        pool += [cpsu.identity(ac),
+                 cpsu.coprojection(summands, 0), cpsu.coprojection(summands, 1),
+                 ops.projection(cpsu, summands, 0),
+                 ops.projection(cpsu, summands, 1)]
+        for b in objs:
+            pool += [cpsu.cotuple(summands, [cpsu.sample_hom(a, b, rng),
+                                             cpsu.zero_morphism(c, b)]),
+                     cpsu.cotuple(summands, [cpsu.zero_morphism(a, b),
+                                             cpsu.sample_hom(c, b, rng)])]
+        if a == c:
+            pool.append(ops.codiagonal(cpsu, 2, a))
+        f = _halved(cpsu, cpsu.sample_hom(a, c, rng))
+        g = _halved(cpsu, cpsu.sample_hom(a, c, rng))
+        merges.append((f, g))
+    outgoing = {}
+    for g in pool:
+        outgoing.setdefault(g.dom, []).append(g)
+    pairs = [(g, f) for f in pool for g in outgoing.get(f.cod, ())]
+    assert len(pairs) > 5000
+    for g, f in pairs:
+        _assert_blocks_equal(cpsu.compose(g, f).payload,
+                             _reference_product(g, f))
+    for f, g in merges:
+        paired = BlockMatrices.try_pairing(cpsu, [f, g])
+        _assert_blocks_equal(
+            ops.coarse_grain(f, g).payload,
+            _reference_product(ops.codiagonal(cpsu, 2, f.cod), paired))
+
+
+def test_cpsu_shares_its_zero_and_identity_blocks(monkeypatch):
+    cpsu = CpsuTheory()
+    rng = random.Random(11)
+    a, b, c = (1, 2), (2,), (2, 1)
+    shared = {id(cpsu_module._block_identity(x)) for x in (1, 2)}
+    shared |= {id(cpsu_module._block_zero(x, y))
+               for x, y in product((1, 2), (1, 2))}
+    for event in [cpsu.zero_morphism(a, c), cpsu.identity(a),
+                  cpsu.coprojection((a, c), 1), ops.codiagonal(cpsu, 2, a)]:
+        for entry in (e for row in event.payload for e in row):
+            assert id(entry) in shared
+            with pytest.raises(ValueError):
+                entry += 1
+    assert (cpsu.zero_morphism(a, c).payload[1][0]
+            is cpsu.zero_morphism(b, b).payload[0][0])
+    # a product with a coprojection selects the cotupled event's entries
+    f, g = cpsu.sample_hom(a, b, rng), cpsu.sample_hom(c, b, rng)
+    cotuple = cpsu.cotuple((a, c), [f, g])
+    for i, h in enumerate([f, g]):
+        got = cpsu.compose(cotuple, cpsu.coprojection((a, c), i))
+        assert all(x is y for got_row, row in zip(got.payload, h.payload)
+                   for x, y in zip(got_row, row))
+    # merging two events whose images are known adds their entries, and
+    # makes no einsum call
+    f = _halved(cpsu, cpsu.sample_hom(a, c, rng))
+    g = _halved(cpsu, cpsu.sample_hom(a, c, rng))
+    assert cpsu.try_pairing([f, g]) is not None
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    merged = ops.coarse_grain(f, g)
+    monkeypatch.undo()
+    assert calls == []
+    _assert_blocks_equal(merged.payload,
+                         [[x + y for x, y in zip(rf, rg)]
+                          for rf, rg in zip(f.payload, g.payload)])
+
+
+def test_cpsu_rounded_key_ignores_the_sign_of_zero_and_tolerance_noise():
+    cpsu = CpsuTheory()
+    key = cpsu.entries.rounded_key
+    signed = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), 0.25, 0.5j])
+    unsigned = np.array([0.0, 0.0, 0.25, 0.5j])
+    assert key(signed.reshape(1, 2, 1, 2)) == key(unsigned.reshape(1, 2, 1, 2))
+    # entries far from a rounding boundary that differ within tol share a key
+    payload = np.array([[0.25, 0.125 + 0.0625j], [0.125 - 0.0625j, 0.5]])
+    f = cpsu.validate_event([[payload.reshape(1, 2, 1, 2)]], (2,), (1,))
+    g = cpsu.validate_event([[(payload + 3e-10).reshape(1, 2, 1, 2)]],
+                            (2,), (1,))
+    assert cpsu.equal(f, g) and f.payload[0][0] is not g.payload[0][0]
+    assert cpsu.rounded_key(f) == cpsu.rounded_key(g)
+    h = cpsu.validate_event([[(payload + 1e-3).reshape(1, 2, 1, 2)]],
+                            (2,), (1,))
+    assert cpsu.rounded_key(h) != cpsu.rounded_key(f)
+
+
 def test_finhilb_has_no_coproducts():
     fh = FinHilbTheory()
     with pytest.raises(NotAvailable):

@@ -107,6 +107,10 @@ def test_control_composes_outcomes(sub):
 def test_codiagonal_folds(sub):
     nabla = ops.codiagonal(sub, 2, 1)
     assert nabla.payload == ((F(1),), (F(1),))
+    # built once per theory and (n, a), and never shared between theories
+    assert ops.codiagonal(sub, 2, 1) is nabla
+    assert ops.codiagonal(sub, 3, 1) is not nabla
+    assert ops.codiagonal(SubStochTheory(grid=4), 2, 1) is not nabla
 
 
 def test_pfun_pairing_requires_disjoint_domains():

@@ -152,8 +152,10 @@ def test_zero_denominator_entry_reports_its_path():
     ("mat", {"semiring": "integers", "grid": -1}, "grid"),
     ("cpsu", {"tol": "abc"}, "tol"),
     ("substoch", {"gird": 2}, "gird"),
+    ("cpsu", {"tol": -1e-9}, "tol"),
+    ("cpsu", {"tol": 0}, "tol"),
 ], ids=["grid-zero", "grid-not-an-integer", "grid-negative", "tol-not-a-number",
-        "unknown-key"])
+        "unknown-key", "tol-negative", "tol-zero"])
 def test_builtin_parameters_outside_the_schema_report_their_path(name, params,
                                                                  key):
     doc = {"format": "optheory/1", "kind": "builtin", "name": name,
@@ -163,6 +165,18 @@ def test_builtin_parameters_outside_the_schema_report_their_path(name, params,
     with pytest.raises(TheoryFileError) as exc:
         parse_doc(doc)
     assert location_of(exc) == f"parameters.{key}"
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_tol_that_is_not_a_finite_number_is_rejected(tmp_path, text):
+    # JSON Schema has no way to reject NaN, which Python's json module
+    # reads, so the parser alone guards these
+    path = tmp_path / "cpsu.theory"
+    path.write_text('{"format": "optheory/1", "kind": "builtin", '
+                    '"name": "cpsu", "parameters": {"tol": %s}}' % text)
+    with pytest.raises(TheoryFileError) as exc:
+        load_theory(path)
+    assert location_of(exc) == "parameters.tol"
 
 
 def test_coarse_grain_entry_of_non_parallel_events_is_rejected():
