@@ -19,7 +19,9 @@ or ``identity`` returns may be one shared read-only object, so grids never
 write to their entries.  A subclass defines:
 
 - ``unit``, ``object_str`` and ``probe_objects``;
-- ``_m(dom, cod, grid)``, which wraps a grid as a morphism;
+- ``_m(dom, cod, grid)``, which wraps a grid as a morphism; it neither
+  copies nor converts the entries, so each entry is made in its final form
+  where it is computed (cpsu freezes its arrays there);
 - ``try_pairing``, which extends the one here (the grids side by side) by
   deciding whether each row of the result is a partial test;
 - ``_dot(x, z, row, col)``, the entry from ``x`` to ``z`` of a matrix

@@ -5,7 +5,11 @@ Every check item quantifies over probe objects of size up to the configured
 bound.  Homsets are enumerated completely when possible; homsets whose size
 passes the cap are skipped and recorded (once per check), a scan over
 several homsets whose product passes the cap is skipped with a note, and
-non-enumerable homsets are sampled with a per-check deterministic seed.  A
+non-enumerable homsets are sampled with a per-check deterministic seed.
+Each sampled homset is drawn once per check, on the check's first visit,
+and every later visit gets the same events, so a check sees one homset
+however many scans reach it, and a check run alone draws what it draws in
+a full classification.  A
 verdict is "holds-exhaustive" only when no sampling was involved (the
 skipped list is part of the report), "holds-sampled(n)" when it rests on n
 sampled instances, "fails" with a replayable witness on the first
@@ -203,6 +207,8 @@ class _Run:
         self.witness = None
         self.reason = None
         self.notes = set()
+        # the sampled homsets drawn so far, by (a, b); None when skipped
+        self.drawn = {}
 
     # -- quantification helpers -------------------------------------------
     def probes(self):
@@ -229,7 +235,14 @@ class _Run:
             return None
 
     def homs(self, a, b):
-        """Probe homset: a complete enumeration, a sample, or None (skipped)."""
+        """Probe homset: a complete enumeration, a sample, or None (skipped).
+
+        A homset that cannot be enumerated is sampled on the first visit
+        and kept in ``drawn``, so every later visit returns the same list
+        (or None again) and draws nothing.  Enumerated homsets are kept by
+        the theory itself."""
+        if (a, b) in self.drawn:
+            return self.drawn[a, b]
         th = self.theory
         try:
             return self._enumerate(a, b)
@@ -239,8 +252,10 @@ class _Run:
             out = [th.sample_hom(a, b, self.rng) for _ in range(self.cfg.samples)]
         except NotEnumerable:
             self.skip(a, b, "neither enumerable nor samplable")
-            return None
-        self.sampled = True
+            out = None
+        else:
+            self.sampled = True
+        self.drawn[a, b] = out
         return out
 
     def totals(self, a, b):
@@ -250,10 +265,13 @@ class _Run:
         return [f for f in hs if ops.is_total(f)]
 
     def totals_into_lift(self, a, b):
-        """Total morphisms from ``a`` into ``b + I``.
+        """Total morphisms from ``a`` into ``b + I``, or None (skipped).
 
-        For non-enumerable theories these are produced as total extensions
-        of sampled events (every such total arises this way)."""
+        When ``hom(a, b + I)`` cannot be enumerated they are the total
+        extensions of the events of :meth:`homs` ``(a, b)`` (every such
+        total arises this way), so they come from the check's one draw of
+        that homset, and a homset that cannot be sampled either is skipped
+        as :meth:`homs` skips it."""
         th = self.theory
         try:
             hs = self._enumerate(a, th.coproduct((b, th.unit())))
@@ -261,14 +279,15 @@ class _Run:
             pass
         else:
             return None if hs is None else [f for f in hs if ops.is_total(f)]
+        hs = self.homs(a, b)
+        if hs is None:
+            return None
         out = []
-        for _ in range(self.cfg.samples):
-            f = th.sample_hom(a, b, self.rng)
+        for f in hs:
             try:
                 out.append(ops.total_extension(f))
             except (NoComplement, NotAPartialTest, NonUniqueComplement):
                 continue
-        self.sampled = True
         return out
 
     def key(self, f):
@@ -369,9 +388,10 @@ def _capped_product(run, *pools):
 def _per_event(fn):
     """``fn`` computed at most once per event, on the event's first use.
 
-    Events are keyed by identity, so the memo belongs to one scan: it keeps
-    each event it has seen alive, and a capped scan computes no more than
-    it reaches."""
+    Events are keyed by identity, so the memo belongs to one check, whose
+    homsets are the same objects on every visit (enumerated homsets are
+    kept by the theory, sampled ones by the run): it keeps each event it
+    has seen alive, and a capped scan computes no more than it reaches."""
     memo = {}
 
     def once(f):
@@ -886,11 +906,11 @@ def check_positivity(run):
 
 def check_combining(run):
     th = run.theory
+    observe = _per_event(lambda f: th.compose(th.discard(f.cod), f))
     for a in run.probes():
         top = th.discard(a)
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
         for _, _, (fs, gs) in run.homsets(run.squares(), legs):
-            observe = _per_event(lambda f: th.compose(th.discard(f.cod), f))
             for f, g in _capped_product(run, fs, gs):
                 ef, eg = observe(f), observe(g)
                 if th.try_pairing([ef, eg]) is None:
@@ -908,10 +928,10 @@ def check_combining(run):
 def check_observations(run):
     """A family is a partial test exactly when its discard composites merge."""
     th = run.theory
+    observe = _per_event(lambda f: th.compose(th.discard(f.cod), f))
     for a in run.probes():
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
         for _, _, (fs, gs) in run.homsets(run.squares(), legs):
-            observe = _per_event(lambda f: th.compose(th.discard(f.cod), f))
             for f, g in _capped_product(run, fs, gs):
                 run.tick()
                 observable = th.try_pairing([observe(f), observe(g)]) is not None

@@ -26,6 +26,11 @@ then equals the full sum over every block up to the sign of zero, so a
 product with a coprojection selects entries and a merge (the codiagonal
 after a pairing) adds them, without an ``einsum``.
 
+Every entry is a read-only complex C-contiguous array from the moment it
+is made: a sampled or validated block, a product, a tensor and an effect
+complement are frozen where they are computed, and every other grid reuses
+the frozen entries of existing events.  ``CpsuTheory._m`` only wraps a grid.
+
 An event keeps the unital image of each of its entries in ``Morphism.form``,
 filled on first use; a pairing assembles its rows' images from its events'
 images and decides sub-unitality from them.
@@ -50,7 +55,9 @@ from ..theory import Morphism
 
 def _freeze(arr):
     """``arr`` as a read-only complex C-contiguous array: itself when it is
-    one already, as the entries of existing events are."""
+    one already.  A writable complex C-contiguous array is made read-only
+    in place, so pass only arrays that nothing else holds; any other array
+    is copied first."""
     flags = arr.flags
     if not flags.writeable and flags.c_contiguous and arr.dtype == complex:
         return arr
@@ -123,12 +130,13 @@ class CpBlocks:
     def effect_complements(self, c):
         d = c.shape[1]
         img = np.einsum("kakb->ab", c)
-        return [(_eye(d) - img).reshape(1, d, 1, d)]
+        return [_freeze((_eye(d) - img).reshape(1, d, 1, d))]
 
     def tensor(self, c1, c2):
         e = c1.shape[0] * c2.shape[0]
         d = c1.shape[1] * c2.shape[1]
-        return np.einsum("kalb,KALB->kKaAlLbB", c1, c2).reshape(e, d, e, d)
+        return _freeze(
+            np.einsum("kalb,KALB->kKaAlLbB", c1, c2).reshape(e, d, e, d))
 
 
 class CpsuTheory(BlockMatrices):
@@ -161,8 +169,8 @@ class CpsuTheory(BlockMatrices):
 
     # -- morphisms --------------------------------------------------------
     def _m(self, dom, cod, blocks):
-        frozen = tuple(tuple(map(_freeze, row)) for row in blocks)
-        return Morphism(self, dom, cod, frozen)
+        # every entry is frozen already (see the module docstring)
+        return Morphism(self, dom, cod, tuple(map(tuple, blocks)))
 
     def _dot(self, x, z, row, col):
         # pull an effect on block z back through col[j], then through row[j];
@@ -179,8 +187,8 @@ class CpsuTheory(BlockMatrices):
             elif g is one_z:
                 term = f
             else:
-                term = np.einsum("pkql,kalb->paqb", g, f)
-            acc = term if acc is None else acc + term
+                term = _freeze(np.einsum("pkql,kalb->paqb", g, f))
+            acc = term if acc is None else _freeze(acc + term)
         return _block_zero(x, z) if acc is None else acc
 
     # -- tests and merging -------------------------------------------------
@@ -220,7 +228,12 @@ class CpsuTheory(BlockMatrices):
 
     # -- sampling ----------------------------------------------------------
     def sample_hom(self, a, b, rng):
-        np_rng = np.random.default_rng(rng.getrandbits(64))
+        seed = rng.getrandbits(64)
+        if not a or not b:
+            # the homset has one member; the seed is drawn all the same, so
+            # the draws that follow do not depend on the shortcut
+            return self.zero_morphism(a, b)
+        np_rng = np.random.default_rng(seed)
         # block (i, j) takes four (e, d) draws, in block order: the real and
         # imaginary parts of one Kraus operator, then of a second
         normals = np_rng.normal(size=4 * sum(a) * sum(b))
@@ -242,7 +255,7 @@ class CpsuTheory(BlockMatrices):
                 img += np.einsum("kakb->ab", c)
             top = kernel.min_eigenvalue(-img)
             scale = peaks[i] / max(-top, 1e-12)
-            blocks[i] = [c * scale for c in blocks[i]]
+            blocks[i] = [_freeze(c * scale) for c in blocks[i]]
         return self._m(a, b, blocks)
 
     # -- validation --------------------------------------------------------
@@ -267,7 +280,7 @@ class CpsuTheory(BlockMatrices):
                     raise ChoiNotPositive(
                         f"cpsu: block ({i},{j}) is not completely positive "
                         f"(min eigenvalue {kernel.min_eigenvalue((flat + flat.conj().T) / 2):.3e})")
-                checked.append(c)
+                checked.append(_freeze(c))
             blocks.append(checked)
         m = self._m(dom, cod, blocks)
         excess = self._first_excess(dom, self._images(m))

@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from opcheck.checker import (
     run_check,
 )
 from opcheck.constructions import par, plus_completion, quotient
+from opcheck.errors import NotEnumerable
 from opcheck.instances import (
     CpsuTheory,
     MatrixTheory,
@@ -391,6 +393,68 @@ def test_sampled_homsets_are_drawn_once_per_probe_pair(check_id, draws_per_homse
     assert result.ok
     pairs = len(cpsu.probe_objects(cfg.bound)) ** 2
     assert len(draws) <= draws_per_homset * cfg.samples * pairs
+
+
+def test_each_sampled_homset_is_drawn_once_per_check():
+    # cat-assoc draws its triples from sample_hom itself, one event at a time
+    cfg = ProbeConfig(bound=2, samples=4, seed=5)
+    for check_id in CHECK_IDS:
+        if check_id == "cat-assoc":
+            continue
+        cpsu = CpsuTheory()
+        sample_hom = cpsu.sample_hom
+        draws = Counter()
+
+        def counted(a, b, rng):
+            draws[a, b] += 1
+            return sample_hom(a, b, rng)
+        cpsu.sample_hom = counted
+        run_check(cpsu, cfg, check_id)
+        assert max(draws.values(), default=0) <= cfg.samples, (check_id, draws)
+
+
+def test_a_check_run_alone_reports_what_it_reports_in_a_classification():
+    # each check draws from its own seed, and its draws are kept on its run
+    cfg = ProbeConfig(bound=2, samples=4, seed=5)
+    full = classify(CpsuTheory(), cfg)
+    for check_id in CHECK_IDS:
+        alone = classify(CpsuTheory(), cfg, only=[check_id])
+        assert (json.dumps(alone.result(check_id).to_json(), sort_keys=True)
+                == json.dumps(full.result(check_id).to_json(), sort_keys=True))
+
+
+class _UnsampledHomset(CpsuTheory):
+    """cpsu whose hom((1), (1,1)) can be neither enumerated nor sampled."""
+
+    def sample_hom(self, a, b, rng):
+        if (a, b) == ((1,), (1, 1)):
+            raise NotEnumerable("stub: hom((1), (1,1)) cannot be sampled")
+        return super().sample_hom(a, b, rng)
+
+
+def test_a_homset_that_cannot_be_sampled_is_skipped_by_the_lifted_totals():
+    cfg = ProbeConfig(bound=1, samples=4, seed=3)
+    # def3.1-c1 fetches the totals into (1,1) + I as total extensions of
+    # hom(x, (1,1)), so the stub's homset is skipped and the check goes on
+    result = run_check(_UnsampledHomset(), cfg, "def3.1-c1")
+    assert result.verdict == "holds-sampled(12)"
+    assert result.skipped == [{"dom": "(1)", "cod": "(1,1)",
+                               "reason": "neither enumerable nor samplable"}]
+    # these reach the lifted totals only for homsets that homs did not skip
+    for check_id in ("def3.3-c3", "def3.1-c2"):
+        got = run_check(_UnsampledHomset(), cfg, check_id)
+        assert got.to_json() == run_check(CpsuTheory(), cfg, check_id).to_json()
+        assert got.ok and not got.skipped
+
+
+def test_cpsu_is_not_separated_when_separation_meets_no_instance():
+    # every probe scan of separation is over a cap of 10, so it meets no
+    # instance, and the flag must not read true
+    report = classify(CpsuTheory(), ProbeConfig(bound=1, samples=4, cap=10))
+    result = report.result("separation")
+    assert result.verdict == "inconclusive(vacuous)"
+    assert result.notes == ["scan-skipped-over-cap"]
+    assert report.flags["separated"] is not True
 
 
 def test_capped_reverse_homset_is_listed_once_per_fetch():

@@ -294,13 +294,49 @@ def test_cpsu_reuses_frozen_entries_and_freezes_every_entry(monkeypatch):
                for x, y in zip(got, want))
     assert all(x is y for got, fr, zr in zip(paired.payload, f.payload, zero.payload)
                for x, y in zip(got, fr + zr))
+    # entries are frozen where they are made: a pairing, a cotuple and a
+    # product of frozen events freeze no entry that is frozen already
+    refrozen = []
+    real_freeze = cpsu_module._freeze
+
+    def freeze(arr):
+        if not arr.flags.writeable:
+            refrozen.append(arr.shape)
+        return real_freeze(arr)
+    monkeypatch.setattr(cpsu_module, "_freeze", freeze)
+    products = [cpsu.try_pairing([f, zero]), cpsu.cotuple((a, c), [f, h]),
+                cpsu.compose(h, g), cpsu.compose(cotuple, cpsu.coprojection((a, c), 1)),
+                cpsu.compose(cpsu.identity(b), f), cpsu.compose(f, cpsu.identity(a))]
+    monkeypatch.undo()
+    assert refrozen == []
     effect = cpsu.compose(cpsu.discard(b), f)
-    events = [f, g, h, cotuple, zero, paired, effect,
+    events = [f, g, h, cotuple, zero, paired, effect, *products,
               cpsu.identity(a), cpsu.coprojection((a, c), 1), cpsu.discard(a),
               cpsu.tensor(f, g), cpsu.compose(h, g), cpsu.unitor_left(a),
               cpsu.validate_event(f.payload, a, b),
+              cpsu.validate_event([[e.copy() for e in row]
+                                   for row in f.payload], a, b),
+              cpsu.sample_hom((), b, rng), cpsu.sample_hom(a, (), rng),
+              ops.coarse_grain(f, cpsu.zero_morphism(a, b)),
+              ops.total_extension(f), ops.projection(cpsu, (a, c), 0),
+              ops.codiagonal(cpsu, 2, a),
               *cpsu.effect_complements(effect)]
     assert all(_frozen(e) for e in events)
+
+
+def test_cpsu_samples_an_empty_sided_homset_as_its_one_member(monkeypatch):
+    cpsu = CpsuTheory()
+
+    def no_numpy_draws(*args, **kw):
+        raise AssertionError("an empty-sided homset needs no numpy draws")
+    monkeypatch.setattr(np.random, "default_rng", no_numpy_draws)
+    for a, b in [((), ()), ((), (1, 2)), ((2,), ()), ((1, 1), ())]:
+        rng, ref = random.Random(9), random.Random(9)
+        f = cpsu.sample_hom(a, b, rng)
+        ref.getrandbits(64)  # the one draw, which keeps later draws in step
+        assert rng.getstate() == ref.getstate()
+        zero = cpsu.zero_morphism(a, b)
+        assert (f.dom, f.cod, f.payload) == (zero.dom, zero.cod, zero.payload)
 
 
 def _reference_product(g, f):
@@ -327,7 +363,8 @@ def _assert_blocks_equal(got, want):
 
 
 def _halved(cpsu, f):
-    return cpsu._m(f.dom, f.cod, [[0.5 * c for c in row] for row in f.payload])
+    return cpsu.validate_event([[0.5 * c for c in row] for row in f.payload],
+                               f.dom, f.cod)
 
 
 def test_cpsu_products_agree_with_the_sum_over_every_block():
