@@ -22,7 +22,10 @@ standard output of
 listed once per check, with nothing else changed), and
 ``classify_cpsu_sampled.json`` is the report of
 ``classify(CpsuTheory(tol=1e-9), ProbeConfig(bound=2, samples=8, seed=7))``,
-which pins the order of the sampled draws.  ``classify_substoch.json`` and
+which pins the order of the sampled draws (recorded again when each
+sampled homset came to be drawn once per check: only the instance count
+of ``assumption3-coarse-graining`` moved, from 2004 to 2103, since which
+pairs pair depends on the draws; every verdict kind and flag stayed).  ``classify_substoch.json`` and
 ``classify_substoch_cap100.json`` were recorded again when the iso search
 of ``lemmaB.3-i`` and the probe scan of ``separation`` came to mark a scan
 over the cap with the note ``scan-skipped-over-cap`` instead of listing
