@@ -270,7 +270,7 @@ class CpsuTheory(BlockMatrices):
                     f"cpsu: row {i} has {len(row)} blocks, expected {len(cod)}")
             checked = []
             for j, (e, c) in enumerate(zip(cod, row)):
-                c = np.asarray(c, dtype=complex)
+                c = np.array(c, dtype=complex)  # the event's own copy
                 if c.shape != (e, d, e, d):
                     raise ValidationError(
                         f"cpsu: block ({i},{j}) has shape {c.shape}, "

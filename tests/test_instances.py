@@ -310,18 +310,20 @@ def test_cpsu_reuses_frozen_entries_and_freezes_every_entry(monkeypatch):
     monkeypatch.undo()
     assert refrozen == []
     effect = cpsu.compose(cpsu.discard(b), f)
+    mine = [[e.copy() for e in row] for row in f.payload]
     events = [f, g, h, cotuple, zero, paired, effect, *products,
               cpsu.identity(a), cpsu.coprojection((a, c), 1), cpsu.discard(a),
               cpsu.tensor(f, g), cpsu.compose(h, g), cpsu.unitor_left(a),
               cpsu.validate_event(f.payload, a, b),
-              cpsu.validate_event([[e.copy() for e in row]
-                                   for row in f.payload], a, b),
+              cpsu.validate_event(mine, a, b),
               cpsu.sample_hom((), b, rng), cpsu.sample_hom(a, (), rng),
               ops.coarse_grain(f, cpsu.zero_morphism(a, b)),
               ops.total_extension(f), ops.projection(cpsu, (a, c), 0),
               ops.codiagonal(cpsu, 2, a),
               *cpsu.effect_complements(effect)]
     assert all(_frozen(e) for e in events)
+    # validation freezes its own copies, not the caller's arrays
+    assert all(e.flags.writeable for row in mine for e in row)
 
 
 def test_cpsu_samples_an_empty_sided_homset_as_its_one_member(monkeypatch):
