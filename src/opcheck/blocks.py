@@ -23,7 +23,9 @@ write to their entries.  A subclass defines:
   copies nor converts the entries, so each entry is made in its final form
   where it is computed (cpsu freezes its arrays there);
 - ``try_pairing``, which extends the one here (the grids side by side) by
-  deciding whether each row of the result is a partial test;
+  deciding whether each row of the result is a partial test, and may
+  override ``Theory.pairing_table`` to decide many pairs at once, as cpsu
+  does on its stacked unital images;
 - ``_dot(x, z, row, col)``, the entry from ``x`` to ``z`` of a matrix
   product: the merge over ``j`` of ``col[j]`` after ``row[j]``;
 - enumeration, sampling and validation.

@@ -315,12 +315,38 @@ class _Run:
         """One seeded draw from ``pool``."""
         return pool[self.rng.randrange(len(pool))]
 
+    def pair_scan(self, fs, gs, *views):
+        """``(f, g, pairs)`` for each capped pair of ``fs`` and ``gs``, in
+        :func:`_capped_product` order, where ``pairs`` says whether ``f``
+        and ``g`` pair.  Given ``views``, it yields one such boolean per
+        view instead: whether ``view(f)`` and ``view(g)`` pair, a view of
+        None standing for the events themselves.
+
+        An uncapped scan reads one :meth:`Theory.pairing_table` per view.
+        A capped scan asks for a one-by-one table per drawn pair, when the
+        loop reaches it, so its draws interleave with the loop body's."""
+        if not (fs and gs):
+            return
+        views = views or (None,)
+
+        def tables(fs, gs):
+            table = self.theory.pairing_table
+            return [table(fs if v is None else [v(f) for f in fs],
+                          gs if v is None else [v(g) for g in gs])
+                    for v in views]
+
+        if len(fs) * len(gs) <= self.cfg.cap:
+            for f, *rows in zip(fs, *tables(fs, gs)):
+                for g, *pairs in zip(gs, *rows):
+                    yield f, g, *pairs
+            return
+        for f, g in _capped_product(self, fs, gs):
+            yield f, g, *(pairs for [[pairs]] in tables([f], [g]))
+
     def pairing_pairs(self, hs):
         """The capped pairs ``(f, g)`` of ``hs`` that satisfy the premise
         "f and g pair"."""
-        pairing = self.theory.try_pairing
-        return ((f, g) for f, g in _capped_product(self, hs, hs)
-                if pairing([f, g]) is not None)
+        return ((f, g) for f, g, pairs in self.pair_scan(hs, hs) if pairs)
 
     # -- assertions --------------------------------------------------------
     def eq(self, f, g):
@@ -911,10 +937,10 @@ def check_combining(run):
         top = th.discard(a)
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
         for _, _, (fs, gs) in run.homsets(run.squares(), legs):
-            for f, g in _capped_product(run, fs, gs):
-                ef, eg = observe(f), observe(g)
-                if th.try_pairing([ef, eg]) is None:
+            for f, g, observable in run.pair_scan(fs, gs, observe):
+                if not observable:
                     continue
+                ef, eg = observe(f), observe(g)
                 if not th.equal(ops.coarse_grain(ef, eg), top):
                     continue
                 run.tick()
@@ -932,10 +958,9 @@ def check_observations(run):
     for a in run.probes():
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
         for _, _, (fs, gs) in run.homsets(run.squares(), legs):
-            for f, g in _capped_product(run, fs, gs):
+            for f, g, observable, paired in run.pair_scan(fs, gs, observe,
+                                                          None):
                 run.tick()
-                observable = th.try_pairing([observe(f), observe(g)]) is not None
-                paired = th.try_pairing([f, g]) is not None
                 if observable != paired:
                     run.fail("pairing exists iff the observations merge",
                              {"f": f, "g": g},

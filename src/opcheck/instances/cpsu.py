@@ -33,7 +33,11 @@ the frozen entries of existing events.  ``CpsuTheory._m`` only wraps a grid.
 
 An event keeps the unital image of each of its entries in ``Morphism.form``,
 filled on first use; a pairing assembles its rows' images from its events'
-images and decides sub-unitality from them.
+images and decides sub-unitality from them.  ``pairing_table`` decides a
+whole scan of pairs that way: per domain block it stacks the events'
+images, sums them in the order that a pairing sums them and decides every
+defect in one stacked eigensolver call, so each entry is what
+``try_pairing`` decides for that pair.
 """
 
 from __future__ import annotations
@@ -225,6 +229,37 @@ class CpsuTheory(BlockMatrices):
         paired = super().try_pairing(events)
         paired.form = images
         return paired
+
+    def pairing_table(self, fs, gs):
+        # per domain block, the defects 1 - U_f - U_g of every pair at once,
+        # summed column block by column block as _first_excess sums a row,
+        # so each defect has the bits that try_pairing decides on
+        table = np.ones((len(fs), len(gs)), dtype=bool)
+        if not (fs and gs):
+            return table.tolist()
+        f_images = [self._images(f) for f in fs]
+        g_images = [self._images(g) for g in gs]
+        for i, d in enumerate(fs[0].dom):
+            row = ([np.stack([im[i][j] for im in f_images])[:, None]
+                    for j in range(len(fs[0].cod))]
+                   + [np.stack([im[i][j] for im in g_images])[None, :]
+                      for j in range(len(gs[0].cod))])
+            if row:  # else the defect is the identity
+                table &= self._sub_unital(_eye(d) - sum(row[1:], row[0]))
+        return table.tolist()
+
+    def _sub_unital(self, defects):
+        """Whether each matrix of a stack of square ``defects`` passes
+        :func:`opcheck.kernel.choi_positivity`, by the same comparisons."""
+        tol = self.tol
+        herm = np.abs(defects - defects.conj().swapaxes(-1, -2)).max(
+            axis=(-2, -1)) <= tol
+        if defects.shape[-1] == 1:
+            return herm & (defects[..., 0, 0].real >= -tol)
+        ok = np.zeros(herm.shape, dtype=bool)
+        if herm.any():
+            ok[herm] = kernel.least_eigenvalues(defects[herm]) >= -tol
+        return ok
 
     # -- sampling ----------------------------------------------------------
     def sample_hom(self, a, b, rng):

@@ -531,6 +531,16 @@ def min_eigenvalue(m):
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
 
 
+def least_eigenvalues(ms):
+    """The least eigenvalue of each Hermitian matrix in the stack ``ms``
+    (shape ``(..., d, d)``), in one eigensolver call; each equals what
+    :func:`min_eigenvalue` gives for that matrix alone."""
+    try:
+        return np.linalg.eigvalsh(ms).min(axis=-1)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed: {exc}") from exc
+
+
 def choi_positivity(c, tol=DEFAULT_TOL):
     """True iff ``c`` is Hermitian within ``tol`` with min eigenvalue >= -tol.
     A 1-by-1 matrix is decided on its entry as a Python ``complex``, by the

@@ -66,9 +66,19 @@ def codiagonal(theory, n, a):
     return nabla
 
 
+def _discard(theory, a):
+    """The discard effect of ``a``, built once per object and kept in the
+    theory's ``_discards``."""
+    memo = vars(theory).setdefault("_discards", {})
+    top = memo.get(a)
+    if top is None:
+        top = memo[a] = theory.discard(a)
+    return top
+
+
 def is_total(f):
     th = f.theory
-    return th.equal(th.compose(th.discard(f.cod), f), th.discard(f.dom))
+    return th.equal(th.compose(_discard(th, f.cod), f), _discard(th, f.dom))
 
 
 def complement_effect(e):

@@ -14,8 +14,8 @@ cpsu morphism's ``form`` slot, which it fills on first use with a value
 computed from the payload alone; the payload of a semiring-matrix event,
 which is derived from its form on first read (the form itself is set when
 the event is born); an instance's memo of the homsets it has
-enumerated; and its memo of the codiagonals that ``ops.codiagonal`` has
-built.
+enumerated; and its memos of the codiagonals that ``ops.codiagonal`` has
+built and of the discard effects that ``ops.is_total`` has read.
 """
 
 from __future__ import annotations
@@ -166,6 +166,21 @@ class Theory:
         the instance admits no joint test containing the family.
         """
         raise NotImplementedError
+
+    def pairing_table(self, fs, gs):
+        """One row of booleans per event of ``fs``: entry ``j`` of the row
+        of ``f`` says whether ``[f, gs[j]]`` pair (``try_pairing``).
+
+        The events of ``fs`` and of ``gs`` share one domain; the events of
+        ``fs`` share a codomain, and so do those of ``gs``.  The default
+        asks ``self.try_pairing`` for each entry, lazily, when the row and
+        the entry are read, so its calls interleave with the reader's work
+        as a loop of ``try_pairing`` calls would.  An instance may decide
+        the whole table at once; every entry must equal the default's.
+        """
+        def row(f):
+            return (self.try_pairing([f, g]) is not None for g in gs)
+        return map(row, fs)
 
     def effect_complements(self, e):
         """All effects ``b`` with ``e`` merged with ``b`` equal to discard.

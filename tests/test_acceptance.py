@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import opcheck
-from opcheck import ops
+from opcheck import cli, ops
 from opcheck.checker import ProbeConfig, classify, run_check
 from opcheck.constructions import (
     PlusTheory,
@@ -302,3 +302,19 @@ def test_14_plus_substoch_grid2_matches_golden():
     golden = FIXTURES.parent / "golden" / "classify_plus_substoch_grid2.json"
     assert text == golden.read_text()
     assert elapsed < 30.0, f"classification took {elapsed:.1f}s"
+
+
+def test_15_cpsu_at_the_cli_defaults_matches_golden(capsys):
+    # every check at bound 2, 100 samples and cap 20000: each 100-by-100
+    # pair scan fits the cap, so the pair scans read whole pairing tables
+    t0 = time.monotonic()
+    code = cli.main(["classify", str(FIXTURES / "cpsu.theory"),
+                     "--format", "json", "--seed", "7"])
+    elapsed = time.monotonic() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    golden = FIXTURES.parent / "golden" / "classify_cpsu_cli_defaults.json"
+    assert out == golden.read_text()
+    # separation's probe scans are over the cap, so it meets no instance
+    assert json.loads(out)["flags"]["separated"] == "inconclusive"
+    assert elapsed < 60.0, f"classification took {elapsed:.1f}s"

@@ -25,6 +25,7 @@ from opcheck.instances import (
     SubStochTheory,
 )
 from opcheck.kernel import BOOLEANS, INTEGERS
+from opcheck.theory import Theory
 
 VERDICT_RE = re.compile(
     r"^(holds-exhaustive|holds-sampled\([0-9]+\)|fails|inconclusive\(.*\))$")
@@ -421,6 +422,40 @@ def test_a_check_run_alone_reports_what_it_reports_in_a_classification():
         alone = classify(CpsuTheory(), cfg, only=[check_id])
         assert (json.dumps(alone.result(check_id).to_json(), sort_keys=True)
                 == json.dumps(full.result(check_id).to_json(), sort_keys=True))
+
+
+class _ReferenceTable(CpsuTheory):
+    """cpsu deciding each pair of a scan by its own ``try_pairing`` call."""
+
+    pairing_table = Theory.pairing_table
+
+
+@pytest.mark.parametrize("cap", [checker.DEFAULT_CAP, 30])
+def test_cpsu_pairing_tables_report_what_the_try_pairing_loop_reports(cap):
+    # at cap 30 every 8-by-8 pair scan is capped, so each drawn pair reads a
+    # one-by-one table, between the draws of its loop body
+    cfg = ProbeConfig(bound=2, samples=8, seed=7, cap=cap)
+    got = classify(CpsuTheory(), cfg).to_json()
+    want = classify(_ReferenceTable(), cfg).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    if cap == 30:
+        notes = {n for c in got["checks"] for n in c.get("notes", ())}
+        assert "pair-scan-capped" in notes
+
+
+def test_cpsu_observations_are_decided_without_try_pairing():
+    cpsu = CpsuTheory()
+    pairing = cpsu.try_pairing
+    calls = []
+
+    def counted(events):
+        calls.append(len(events))
+        return pairing(events)
+    cpsu.try_pairing = counted
+    result = run_check(cpsu, ProbeConfig(bound=2, samples=8, seed=7),
+                       "axiom-observations")
+    assert result.ok and result.instances
+    assert calls == []
 
 
 class _UnsampledHomset(CpsuTheory):

@@ -49,6 +49,15 @@ recorded before the completion memoised the entries of its block products.
 It takes several seconds, so ``test_14`` in ``test_acceptance.py`` compares
 it, under a wall-clock budget, rather than this module.
 
+``classify_cpsu_cli_defaults.json`` is the standard output of
+
+    opcheck classify tests/fixtures/cpsu.theory --format json --seed 7
+
+at the CLI defaults (bound 2, 100 samples, cap 20000), recorded before
+cpsu's pair scans came to be decided as stacked pairing tables.  It takes
+tens of seconds, so ``test_15`` in ``test_acceptance.py`` compares it,
+under a 60 s budget, rather than this module.
+
 ``classify_substoch_grid6_bound3.json`` is the report of
 ``classify(SubStochTheory(grid=6), ProbeConfig(bound=3, samples=40))``,
 recorded before rational events came to be computed on their integer forms

@@ -272,6 +272,69 @@ def _frozen(f):
                and c.dtype == complex for row in f.payload for c in row)
 
 
+def _assert_table_matches_try_pairing(cpsu, fs, gs):
+    table = [list(row) for row in cpsu.pairing_table(fs, gs)]
+    assert table == [[cpsu.try_pairing([f, g]) is not None for g in gs]
+                     for f in fs]
+    return {x for row in table for x in row}
+
+
+def _scaled(cpsu, g, s):
+    return cpsu._m(g.dom, g.cod, [[cpsu_module._freeze(s * blk) for blk in row]
+                                  for row in g.payload])
+
+
+def test_cpsu_pairing_table_agrees_with_try_pairing_on_sampled_homsets():
+    cpsu = CpsuTheory()
+    objs = cpsu.probe_objects(2)
+    rng = random.Random(5)
+    verdicts = set()
+    for a, b, c in product(objs, objs, objs):
+        # fs and gs have different codomains unless b == c; a, b or c may
+        # be the zero object ()
+        fs = [cpsu.sample_hom(a, b, rng) for _ in range(3)]
+        gs = [cpsu.sample_hom(a, c, rng) for _ in range(4)]
+        verdicts |= _assert_table_matches_try_pairing(cpsu, fs, gs)
+        # halved events pair more often, so both verdicts show up
+        halves = [_scaled(cpsu, g, 0.5) for g in gs]
+        verdicts |= _assert_table_matches_try_pairing(cpsu, fs, halves)
+        assert [list(row) for row in cpsu.pairing_table(fs, [])] == [[]] * 3
+        assert list(cpsu.pairing_table([], gs)) == []
+    assert verdicts == {True, False}
+
+
+def _least_defect_eigenvalue(cpsu, f, g):
+    (row_f,), (row_g,) = cpsu._images(f), cpsu._images(g)
+    d = f.dom[0]
+    defect = np.eye(d) - sum(row_f) - sum(row_g)
+    return np.linalg.eigvalsh((defect + defect.conj().T) / 2).min()
+
+
+@pytest.mark.parametrize("a,b,c", [((1,), (1,), (2,)), ((2,), (1, 1), (2,))])
+def test_cpsu_pairing_table_agrees_with_try_pairing_at_the_tolerance(a, b, c):
+    # g is scaled so that the least eigenvalue of 1 - U_f - U_g sits just
+    # inside and just outside -tol, on one d = 1 or d = 2 domain block
+    cpsu = CpsuTheory()
+    rng = random.Random(9)
+    f, g = cpsu.sample_hom(a, b, rng), cpsu.sample_hom(a, c, rng)
+    for offset, pairs in ((1e-12, True), (-1e-12, False)):
+        target = -cpsu.tol + offset
+        lo, hi = 0.0, 10.0  # the least eigenvalue falls as g grows
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if _least_defect_eigenvalue(cpsu, f, _scaled(cpsu, g, mid)) > target:
+                lo = mid
+            else:
+                hi = mid
+        near = _scaled(cpsu, g, lo if pairs else hi)
+        got = _least_defect_eigenvalue(cpsu, f, near)
+        assert abs(got - target) < 1e-13
+        assert (cpsu.try_pairing([f, near]) is not None) is pairs
+        assert _assert_table_matches_try_pairing(cpsu, [f], [near]) == {pairs}
+        assert _assert_table_matches_try_pairing(cpsu, [f, f], [g, near, g]) \
+            >= {pairs}
+
+
 def test_cpsu_reuses_frozen_entries_and_freezes_every_entry(monkeypatch):
     cpsu = CpsuTheory()
     rng = random.Random(5)
