@@ -26,6 +26,8 @@ write to their entries.  A subclass defines:
   deciding whether each row of the result is a partial test, and may
   override ``Theory.pairing_table`` to decide many pairs at once, as cpsu
   does on its stacked unital images;
+- optionally ``Theory.outcome_key``, to compute every outcome of a
+  separation scan at once, as cpsu does on stacked blocks;
 - ``_dot(x, z, row, col)``, the entry from ``x`` to ``z`` of a matrix
   product: the merge over ``j`` of ``col[j]`` after ``row[j]``;
 - enumeration, sampling and validation.

@@ -932,7 +932,8 @@ def check_positivity(run):
 
 def check_combining(run):
     th = run.theory
-    observe = _per_event(lambda f: th.compose(th.discard(f.cod), f))
+    observe = _per_event(
+        lambda f: th.compose(ops._discard(th, f.cod), f))
     for a in run.probes():
         top = th.discard(a)
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
@@ -954,7 +955,8 @@ def check_combining(run):
 def check_observations(run):
     """A family is a partial test exactly when its discard composites merge."""
     th = run.theory
-    observe = _per_event(lambda f: th.compose(th.discard(f.cod), f))
+    observe = _per_event(
+        lambda f: th.compose(ops._discard(th, f.cod), f))
     for a in run.probes():
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
         for _, _, (fs, gs) in run.homsets(run.squares(), legs):
@@ -1060,9 +1062,8 @@ def check_separation(run):
         if len(hs) * len(states) * len(effects) > run.cfg.cap:
             run.notes.add("scan-skipped-over-cap")
             continue
-        clash = _first_clash(run, hs, lambda f: tuple(
-            th.rounded_key(th.compose(e, fw))
-            for fw in [th.compose(f, w) for w in states] for e in effects))
+        clash = _first_clash(
+            run, hs, lambda f: th.outcome_key(f, states, effects))
         if clash:
             g, f = clash
             run.fail("probes separate parallel events",

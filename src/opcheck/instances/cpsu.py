@@ -37,7 +37,12 @@ images and decides sub-unitality from them.  ``pairing_table`` decides a
 whole scan of pairs that way: per domain block it stacks the events'
 images, sums them in the order that a pairing sums them and decides every
 defect in one stacked eigensolver call, so each entry is what
-``try_pairing`` decides for that pair.
+``try_pairing`` decides for that pair.  ``outcome_key`` stacks the outcomes
+of a separation scan per block the same way: per block pair it forms
+``f . w`` for every state in one ``einsum``, summed over the domain blocks
+in ``_dot``'s order, contracts that with every effect per codomain block
+and rounds the states-by-effects array once, so each outcome has the bits
+of its composite up to the sign of zero.
 """
 
 from __future__ import annotations
@@ -194,6 +199,34 @@ class CpsuTheory(BlockMatrices):
                 term = _freeze(np.einsum("pkql,kalb->paqb", g, f))
             acc = term if acc is None else _freeze(acc + term)
         return _block_zero(x, z) if acc is None else acc
+
+    def outcome_key(self, f, states, effects):
+        # per block pair (j, k), f . w for every state in one einsum, summed
+        # over j in _dot's order; then per codomain block k, every effect
+        # after those in one einsum, summed over k.  Zero and identity
+        # blocks enter the sums, which changes at most the sign of a zero
+        for w in states:
+            if w.cod != f.dom:
+                raise self._mismatch(w.dom, w.cod, f)
+        if not states:  # no f . w for an effect to follow
+            return b""
+        for e in effects:
+            if e.dom != f.cod:
+                raise self._mismatch(states[0].dom, f.cod, e)
+        if not effects:
+            return b""
+        s, t = len(states), len(effects)
+        state_blocks = [np.stack([w.payload[0][j] for w in states])
+                        for j in range(len(f.dom))]
+        outcomes = np.zeros((s, t), dtype=complex)
+        for k, e in enumerate(f.cod):
+            fw = sum((np.einsum("pkql,skalb->spaqb", row[k], ws)
+                      for row, ws in zip(f.payload, state_blocks)),
+                     np.zeros((s, e, 1, e, 1), dtype=complex))
+            effect_blocks = np.stack([x.payload[k][0] for x in effects])
+            outcomes += np.einsum("tpkql,skalb->stpaqb", effect_blocks,
+                                  fw).reshape(s, t)
+        return self.entries.rounded_key(outcomes)
 
     # -- tests and merging -------------------------------------------------
     @staticmethod

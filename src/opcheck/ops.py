@@ -106,7 +106,7 @@ def total_extension(f):
     uniqueness of that complement makes the extension canonical.
     """
     th = f.theory
-    c = complement_effect(th.compose(th.discard(f.cod), f))
+    c = complement_effect(th.compose(_discard(th, f.cod), f))
     h = th.try_pairing([f, c])
     if h is None:
         raise NotAPartialTest(

@@ -15,7 +15,7 @@ computed from the payload alone; the payload of a semiring-matrix event,
 which is derived from its form on first read (the form itself is set when
 the event is born); an instance's memo of the homsets it has
 enumerated; and its memos of the codiagonals that ``ops.codiagonal`` has
-built and of the discard effects that ``ops.is_total`` has read.
+built and of the discard effects that ``ops._discard`` has built.
 """
 
 from __future__ import annotations
@@ -105,10 +105,15 @@ class Theory:
     def compose(self, g, f):
         """The composite ``g`` after ``f``; raises on a signature mismatch."""
         if f.cod != g.dom:
-            raise CompositionError(
-                f"{self.name}: cannot compose {self.object_str(f.dom)}->{self.object_str(f.cod)} "
-                f"then {self.object_str(g.dom)}->{self.object_str(g.cod)}")
+            raise self._mismatch(f.dom, f.cod, g)
         return self._compose(g, f)
+
+    def _mismatch(self, dom, cod, g):
+        """The :class:`CompositionError` of ``g`` after an event from
+        ``dom`` to ``cod``, whose codomain is not ``g``'s domain."""
+        return CompositionError(
+            f"{self.name}: cannot compose {self.object_str(dom)}->{self.object_str(cod)} "
+            f"then {self.object_str(g.dom)}->{self.object_str(g.cod)}")
 
     def _compose(self, g, f):
         raise NotImplementedError
@@ -148,6 +153,23 @@ class Theory:
         share, barring values that round apart.
         """
         return self.payload_key(f)
+
+    def outcome_key(self, f, states, effects):
+        """A hashable key of the outcomes of ``f``: two events of one homset
+        get equal keys exactly when each outcome ``e . f . w``, over ``w``
+        in ``states`` and ``e`` in ``effects``, has the same
+        :meth:`rounded_key` for both (Sec. 5's operational equivalence on a
+        finite probe set).  The states go out of the trivial object into
+        ``f.dom``, the effects from ``f.cod`` into it.
+
+        The default composes each outcome: ``f . w`` for every state, then
+        ``e . (f . w)`` for every effect, state by state.  An instance may
+        compute all outcomes at once; it must raise
+        :class:`CompositionError` where ``compose`` would.
+        """
+        return tuple(self.rounded_key(self.compose(e, fw))
+                     for fw in [self.compose(f, w) for w in states]
+                     for e in effects)
 
     def morphism_key(self, f):
         """The exact key ``(dom, cod, payload_key)`` of event ``f``, or None

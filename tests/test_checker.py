@@ -25,7 +25,7 @@ from opcheck.instances import (
     SubStochTheory,
 )
 from opcheck.kernel import BOOLEANS, INTEGERS
-from opcheck.theory import Theory
+from opcheck.theory import Morphism, Theory
 
 VERDICT_RE = re.compile(
     r"^(holds-exhaustive|holds-sampled\([0-9]+\)|fails|inconclusive\(.*\))$")
@@ -456,6 +456,77 @@ def test_cpsu_observations_are_decided_without_try_pairing():
                        "axiom-observations")
     assert result.ok and result.instances
     assert calls == []
+
+
+class _ReferenceOutcomes(CpsuTheory):
+    """cpsu composing each outcome of a separation scan on its own."""
+
+    outcome_key = Theory.outcome_key
+
+
+@pytest.mark.parametrize("cap", [checker.DEFAULT_CAP, 100])
+def test_cpsu_outcome_keys_report_what_the_composed_outcomes_report(cap):
+    # at cap 100 every 8 x 8 x 8 separation scan is over the cap, while the
+    # 8-by-8 pair scans are not
+    cfg = ProbeConfig(bound=2, samples=8, seed=7, cap=cap)
+    got = classify(CpsuTheory(), cfg).to_json()
+    want = classify(_ReferenceOutcomes(), cfg).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    (separation,) = (c for c in got["checks"] if c["id"] == "separation")
+    skipped = "scan-skipped-over-cap" in separation.get("notes", ())
+    assert skipped == (cap == 100)
+    assert bool(separation["instances"]) != skipped
+
+
+def test_cpsu_separation_composes_no_outcome():
+    cpsu = CpsuTheory()
+    compose = cpsu.compose
+    calls = []
+
+    def counted(g, f):
+        calls.append((g, f))
+        return compose(g, f)
+    cpsu.compose = counted
+    result = run_check(cpsu, ProbeConfig(bound=2, samples=8, seed=7),
+                       "separation")
+    assert result.ok and result.instances
+    assert calls == []
+
+
+class _TwinDraws(CpsuTheory):
+    """cpsu whose every draw from hom((1), (2)) is a new event holding the
+    blocks of the first draw, and whose ``equal`` tells the events of that
+    homset apart by identity, so separation meets two distinct events that
+    no state and effect tell apart."""
+
+    def sample_hom(self, a, b, rng):
+        f = super().sample_hom(a, b, rng)
+        if (a, b) != ((1,), (2,)):
+            return f
+        first = vars(self).setdefault("first_draw", f)
+        return Morphism(self, a, b, first.payload)
+
+    def equal(self, f, g, tol=None):
+        if (f.dom, f.cod) == ((1,), (2,)):
+            return f is g
+        return super().equal(f, g, tol)
+
+
+class _ReferenceTwinDraws(_TwinDraws):
+    """The twin draws, composing each outcome of a separation scan."""
+
+    outcome_key = Theory.outcome_key
+
+
+def test_cpsu_separation_fails_on_two_events_with_one_outcome_table():
+    cfg = ProbeConfig(bound=2, samples=8, seed=7)
+    got = run_check(_TwinDraws(), cfg, "separation")
+    want = run_check(_ReferenceTwinDraws(), cfg, "separation")
+    assert got.verdict == "fails"
+    assert got.witness.parts["f"] == got.witness.parts["g"]
+    assert "Morphism(cpsu: (1) -> (2)" in got.witness.parts["f"]
+    assert (json.dumps(got.to_json(), sort_keys=True)
+            == json.dumps(want.to_json(), sort_keys=True))
 
 
 class _UnsampledHomset(CpsuTheory):

@@ -12,6 +12,7 @@ from opcheck.blocks import BlockMatrices
 from opcheck.errors import (
     BoundExceeded,
     ChoiNotPositive,
+    CompositionError,
     EntryOutOfRange,
     NotAvailable,
     NotSubUnital,
@@ -27,6 +28,7 @@ from opcheck.instances import (
 )
 from opcheck.instances import cpsu as cpsu_module
 from opcheck.kernel import BOOLEANS, INTEGERS, choi_positivity
+from opcheck.theory import Theory
 
 F = Fraction
 
@@ -530,6 +532,78 @@ def test_cpsu_rounded_key_ignores_the_sign_of_zero_and_tolerance_noise():
     h = cpsu.validate_event([[(payload + 1e-3).reshape(1, 2, 1, 2)]],
                             (2,), (1,))
     assert cpsu.rounded_key(h) != cpsu.rounded_key(f)
+
+
+def _assert_outcome_keys_agree(th, fs, states, effects):
+    """``th.outcome_key`` against ``Theory.outcome_key``, which composes
+    each outcome: the same rounded outcomes, byte for byte, and the same
+    equal keys between every two events of ``fs``."""
+    got = [th.outcome_key(f, states, effects) for f in fs]
+    want = [Theory.outcome_key(th, f, states, effects) for f in fs]
+    # each composed outcome is a 1-by-1 grid, keyed by its one entry
+    assert got == [b"".join(cell for ((cell,),) in key) for key in want]
+    for i, j in product(range(len(fs)), repeat=2):
+        assert (got[i] == got[j]) == (want[i] == want[j])
+
+
+@pytest.mark.parametrize("kind,raw", [(CpsuTheory, False), (CpsuTheory, True),
+                                      (FinHilbTheory, False)])
+def test_cpsu_outcome_keys_agree_with_the_composed_outcomes(kind, raw):
+    th = kind()
+    if raw:
+        # unrounded bits, so the stacked sums must run in _dot's order;
+        # three blocks on a side make that order matter
+        th.entries.rounded_key = lambda c: (c + 0.0).tobytes()
+    rng = random.Random(7)
+    unit = th.unit()
+    objs = th.probe_objects(2)
+    if kind is CpsuTheory:
+        objs += [(1, 1, 1), (2, 1)]
+    for a, b in product(objs, objs):
+        # a or b may be (), (1, 1) or (2,); zero, identity, coprojection
+        # and codiagonal blocks are shared, so _dot skips or passes them on
+        states = [th.sample_hom(unit, a, rng) for _ in range(3)]
+        states.append(th.zero_morphism(unit, a))
+        if a == unit:
+            states.append(th.identity(unit))
+        if a == (1, 1):
+            states.append(th.coprojection((unit, unit), 1))
+        effects = [th.sample_hom(b, unit, rng) for _ in range(4)]
+        effects.append(th.discard(b))
+        if b == (1, 1):
+            effects.append(ops.codiagonal(th, 2, unit))
+        f = th.sample_hom(a, b, rng)
+        fs = [f, th.zero_morphism(a, b), th.zero_morphism(a, b),
+              # numerically zero, but not built from the shared blocks
+              th._m(a, b, [[cpsu_module._freeze(np.zeros((e, d, e, d)))
+                            for e in b] for d in a]),
+              _scaled(th, f, 1 + 1e-12), th.sample_hom(a, b, rng)]
+        if a == b:
+            fs.append(th.identity(a))
+        for ss, es in [(states, effects), ([], effects), (states, []),
+                       ([], [])]:
+            _assert_outcome_keys_agree(th, fs, ss, es)
+
+
+def test_cpsu_outcome_key_raises_where_compose_raises():
+    cpsu = CpsuTheory()
+    rng = random.Random(3)
+    f = cpsu.sample_hom((2,), (1, 1), rng)
+    state = cpsu.sample_hom((1,), (2,), rng)
+    effect = cpsu.sample_hom((1, 1), (1,), rng)
+    wrong_state = cpsu.sample_hom((1,), (1, 1), rng)
+    wrong_effect = cpsu.sample_hom((2,), (1,), rng)
+    for states, effects in [([state, wrong_state], [effect]),
+                            ([wrong_state], []),
+                            ([state], [effect, wrong_effect])]:
+        with pytest.raises(CompositionError) as got:
+            cpsu.outcome_key(f, states, effects)
+        with pytest.raises(CompositionError) as want:
+            Theory.outcome_key(cpsu, f, states, effects)
+        assert str(got.value) == str(want.value)
+    # without states no outcome is composed, so no effect is checked
+    assert cpsu.outcome_key(f, [], [wrong_effect]) == b""
+    assert Theory.outcome_key(cpsu, f, [], [wrong_effect]) == ()
 
 
 def test_finhilb_has_no_coproducts():
