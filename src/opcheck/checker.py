@@ -224,10 +224,6 @@ class _Run:
         """The complete homset, or None when it is over the cap (skipped).
 
         Raises NotEnumerable when the theory cannot enumerate it."""
-        count = self.theory.hom_count(a, b)
-        if count is not None and count > self.cfg.cap:
-            self.skip(a, b, f"homset size {count} over cap")
-            return None
         try:
             return self.theory.enumerate_hom(a, b, self.cfg.cap)
         except BoundExceeded as exc:
@@ -411,23 +407,6 @@ def _capped_product(run, *pools):
     yield from product(*pools)
 
 
-def _per_event(fn):
-    """``fn`` computed at most once per event, on the event's first use.
-
-    Events are keyed by identity, so the memo belongs to one check, whose
-    homsets are the same objects on every visit (enumerated homsets are
-    kept by the theory, sampled ones by the run): it keeps each event it
-    has seen alive, and a capped scan computes no more than it reaches."""
-    memo = {}
-
-    def once(f):
-        hit = memo.get(id(f))
-        if hit is None:
-            hit = memo[id(f)] = (f, fn(f))
-        return hit[1]
-    return once
-
-
 def _unless_skipped(*hss):
     """The homsets, or None when any was skipped.  The caller fetches them
     all first, so every skip is recorded."""
@@ -507,11 +486,12 @@ def check_coarse_graining(run):
                 k = run.pick(post)
                 lhs = th.compose(k, fg)
                 kf, kg = th.compose(k, f), th.compose(k, g)
-                if th.try_pairing([kf, kg]) is None:
+                h = th.try_pairing([kf, kg])
+                if h is None:
                     run.fail("k.(f v g) defined but k.f, k.g do not merge",
                              {"f": f, "g": g, "k": k}, repr(lhs), "undefined")
                     return
-                rhs = ops.coarse_grain(kf, kg)
+                rhs = th.compose(ops.codiagonal(th, 2, a), h)
                 if not run.check_eq(lhs, rhs, "k.(f v g) = k.f v k.g",
                                     {"f": f, "g": g, "k": k}):
                     return
@@ -909,13 +889,12 @@ def check_positivity(run):
     unit = th.unit()
     for a, b, hs in run.homsets(run.squares()):
         z = th.zero_morphism(a, b)
-        top = th.discard(b)
         zero_eff = th.zero_morphism(a, unit)
         for f in hs:
             run.tick()
-            if th.equal(th.compose(top, f), zero_eff) and not th.equal(f, z):
+            if th.equal(ops.observation(f), zero_eff) and not th.equal(f, z):
                 run.fail("discard . f = 0 implies f = 0", {"f": f},
-                         repr(th.compose(top, f)), repr(f))
+                         repr(ops.observation(f)), repr(f))
                 return
         for f, g in run.pairing_pairs(hs):
             run.tick()
@@ -932,16 +911,14 @@ def check_positivity(run):
 
 def check_combining(run):
     th = run.theory
-    observe = _per_event(
-        lambda f: th.compose(ops._discard(th, f.cod), f))
     for a in run.probes():
         top = th.discard(a)
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
         for _, _, (fs, gs) in run.homsets(run.squares(), legs):
-            for f, g, observable in run.pair_scan(fs, gs, observe):
+            for f, g, observable in run.pair_scan(fs, gs, ops.observation):
                 if not observable:
                     continue
-                ef, eg = observe(f), observe(g)
+                ef, eg = ops.observation(f), ops.observation(g)
                 if not th.equal(ops.coarse_grain(ef, eg), top):
                     continue
                 run.tick()
@@ -954,14 +931,11 @@ def check_combining(run):
 
 def check_observations(run):
     """A family is a partial test exactly when its discard composites merge."""
-    th = run.theory
-    observe = _per_event(
-        lambda f: th.compose(ops._discard(th, f.cod), f))
     for a in run.probes():
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
         for _, _, (fs, gs) in run.homsets(run.squares(), legs):
-            for f, g, observable, paired in run.pair_scan(fs, gs, observe,
-                                                          None):
+            for f, g, observable, paired in run.pair_scan(
+                    fs, gs, ops.observation, None):
                 run.tick()
                 if observable != paired:
                     run.fail("pairing exists iff the observations merge",
@@ -1023,7 +997,7 @@ def check_iso_total(run):
                 run.tick()
                 if not ops.is_total(f):
                     run.fail("every isomorphism is total", {"f": f, "g": g},
-                             repr(th.compose(th.discard(b), f)),
+                             repr(ops.observation(f)),
                              repr(th.discard(a)))
                     return
 

@@ -104,13 +104,7 @@ def _use_color():
 
 
 def _load(args):
-    theory = load_theory(args.path)
-    if getattr(args, "grid", None) is not None:
-        if not hasattr(theory, "grid"):
-            raise TheoryFileError(
-                "--grid does not apply to this theory", args.path)
-        theory.grid = args.grid
-    return theory
+    return load_theory(args.path, grid=getattr(args, "grid", None))
 
 
 def _config(args):

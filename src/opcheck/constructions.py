@@ -13,6 +13,7 @@ theory morphism to the completion.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 
@@ -143,10 +144,13 @@ class ParTheory(_OnBaseObjects):
                           self.coproduct(tuple(f.cod for f in events)), ext)
 
     # -- enumeration -------------------------------------------------------
-    def enumerate_hom(self, a, b, cap=None):
-        return [self._wrap(a, b, m)
+    def hom_count(self, a, b):
+        return self.base.hom_count(a, self._lift(b))
+
+    def _homset(self, a, b, cap):
+        return (self._wrap(a, b, m)
                 for m in self.base.enumerate_hom(a, self._lift(b), cap)
-                if ops.is_total(m)]
+                if ops.is_total(m))
 
     def sample_hom(self, a, b, rng):
         return self.from_event(a, b, self.base.sample_hom(a, b, rng))
@@ -346,14 +350,17 @@ class PlusTheory(BlockMatrices):
             self._row_cache[key] = options
         return self._row_cache[key]
 
-    def enumerate_hom(self, a, b, cap=None):
-        counts = 1
-        for x in a:
-            counts *= len(self._row_options(x, b, cap))
-        if cap is not None and counts > cap:
-            raise BoundExceeded(f"{self.name}: hom has {counts} elements", counts)
+    def hom_count(self, a, b):
+        """Known once the row options of every source summand are."""
+        options = [self._row_cache.get((x, b)) for x in a]
+        return None if None in options else math.prod(map(len, options))
+
+    def _homset(self, a, b, cap):
         options = [self._row_options(x, b, cap) for x in a]
-        return [self._m(a, b, combo) for combo in product(*options)]
+        count = math.prod(map(len, options))
+        if cap is not None and count > cap:
+            raise BoundExceeded(f"homset size {count} over cap", count)
+        return (self._m(a, b, combo) for combo in product(*options))
 
     def sample_hom(self, a, b, rng):
         base = self.base
@@ -506,7 +513,7 @@ class QuotientTheory(_OnBaseObjects):
         self._probe_cache = {}
         self._signatures = {}  # exact key of an event -> its signature
         self._rows = {}        # exact key of probe . state -> effect outcomes
-        self._partitions = {}  # (a, b) -> (cap it was enumerated under, classes)
+        self._partitions = {}  # (a, b) -> classes of the base's hom(a, b)
 
     # -- probes ------------------------------------------------------------
     def _hom_probe(self, a, b, tag):
@@ -566,24 +573,18 @@ class QuotientTheory(_OnBaseObjects):
                      for e in self._hom_probe(mid.cod, base.unit(), "effect"))
 
     def _partition(self, a, b, cap):
-        """hom(a, b) grouped by signature, members in enumeration order.
-
-        The homset is enumerated and signed once.  As ``base.enumerate_hom(a,
-        b, cap)`` would, this raises ``BoundExceeded`` for a cap below the
-        homset size: a cap tighter than the one the partition was enumerated
-        under is put to the base again.
+        """The base's hom(a, b) grouped by signature, members in enumeration
+        order; signed once.  As ``base.enumerate_hom(a, b, cap)``, whose
+        kept homset it reads, this raises ``BoundExceeded`` for a cap below
+        the homset's count.
         """
-        hit = self._partitions.get((a, b))
-        if hit is not None:
-            built, groups = hit
-            if cap is None or (built is not None and built <= cap):
-                return groups
-            self.base.enumerate_hom(a, b, cap)
-        else:
+        homs = self.base.enumerate_hom(a, b, cap)
+        groups = self._partitions.get((a, b))
+        if groups is None:
             groups = {}
-            for h in self.base.enumerate_hom(a, b, cap):
+            for h in homs:
                 groups.setdefault(self.signature(h), []).append(h)
-        self._partitions[(a, b)] = (cap, groups)
+            self._partitions[a, b] = groups
         return groups
 
     # -- morphisms ---------------------------------------------------------
@@ -643,10 +644,13 @@ class QuotientTheory(_OnBaseObjects):
                 out.append(w)
         return out
 
-    def enumerate_hom(self, a, b, cap=None):
+    def hom_count(self, a, b):
+        return self.base.hom_count(a, b)
+
+    def _homset(self, a, b, cap):
         """One representative per class: its first member."""
-        return [Morphism(self, a, b, members[0])
-                for members in self._partition(a, b, cap).values()]
+        return (Morphism(self, a, b, members[0])
+                for members in self._partition(a, b, cap).values())
 
     def sample_hom(self, a, b, rng):
         return self._wrap(self.base.sample_hom(a, b, rng))

@@ -11,8 +11,8 @@ those forms; no method here asks which carrier it has.  The substochastic
 instance is the same structure over the nonnegative rationals, where the
 sub-unit subset is the rationals in [0, 1] and the form is the canonical
 integer one; it keeps a denominator grid so homsets become enumerable
-(exhaustive relative to the grid).  Each homset is enumerated once per
-theory.
+(exhaustive relative to the grid), which is fixed when the theory is
+built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from itertools import product
 
 from .. import kernel
 from ..errors import (
-    BoundExceeded,
     EntryOutOfRange,
     EventViolation,
     RowSumExceedsOne,
@@ -45,6 +44,7 @@ class MatrixEvent(Morphism):
         self.dom = dom
         self.cod = cod
         self.form = form
+        self.observation = None
         if rows is not None:
             self.payload = rows
 
@@ -144,10 +144,15 @@ class MatrixTheory(SemiringMatrices):
 
     def __init__(self, semiring, grid=2, name=None):
         self.semiring = semiring
-        self.grid = grid
+        self._grid = grid
         self.name = name or f"mat_{semiring.name}"
         self._row_cache = {}
-        self._homs = {}
+
+    @property
+    def grid(self):
+        """The denominator grid homsets are enumerated on; it cannot be
+        reassigned, since the kept homsets and rows are built on it."""
+        return self._grid
 
     # -- objects ----------------------------------------------------------
     def unit(self):
@@ -179,8 +184,7 @@ class MatrixTheory(SemiringMatrices):
 
     # -- enumeration -------------------------------------------------------
     def _valid_rows(self, m):
-        key = (m, self.grid)
-        if key not in self._row_cache:
+        if m not in self._row_cache:
             s = self.semiring
             els = [x for x in s.grid_elements(self.grid) if s.in_unit_interval(x)]
             rows = []
@@ -199,27 +203,15 @@ class MatrixTheory(SemiringMatrices):
                     extend(prefix, new_total)
                     prefix.pop()
             extend([], s.zero)
-            self._row_cache[key] = tuple(rows)
-        return self._row_cache[key]
+            self._row_cache[m] = tuple(rows)
+        return self._row_cache[m]
 
     def hom_count(self, a, b):
         return len(self._valid_rows(b)) ** a
 
-    def enumerate_hom(self, a, b, cap=None):
-        """The homset as one tuple, built on the first call for ``(a, b)``
-        on the current grid and returned again by every later one; a
-        ``cap`` below its size still raises first."""
-        if cap is not None and self.hom_count(a, b) > cap:
-            raise BoundExceeded(
-                f"{self.name}: hom({a},{b}) has {self.hom_count(a, b)} elements",
-                self.hom_count(a, b))
-        key = (a, b, self.grid)
-        homs = self._homs.get(key)
-        if homs is None:
-            homs = tuple(self._m(a, b, rows)
-                         for rows in product(self._valid_rows(b), repeat=a))
-            self._homs[key] = homs
-        return homs
+    def _homset(self, a, b, cap):
+        return (self._m(a, b, rows)
+                for rows in product(self._valid_rows(b), repeat=a))
 
     def sample_hom(self, a, b, rng):
         rows = self._valid_rows(b)

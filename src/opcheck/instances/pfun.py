@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from ..errors import BoundExceeded, CompositionError, ValidationError
+from ..errors import CompositionError, ValidationError
 from ..theory import Morphism, Theory
 
 
@@ -120,17 +120,12 @@ class PFunTheory(Theory):
     def hom_count(self, a, b):
         return (len(b) + 1) ** len(a)
 
-    def enumerate_hom(self, a, b, cap=None):
-        if cap is not None and self.hom_count(a, b) > cap:
-            raise BoundExceeded(
-                f"pfun: hom has {self.hom_count(a, b)} elements", self.hom_count(a, b))
+    def _homset(self, a, b, cap):
         src = _sorted(a)
         options = [None] + _sorted(b)
-        out = []
-        for choice in product(options, repeat=len(src)):
-            out.append(self._m(a, b, [(x, y) for x, y in zip(src, choice)
-                                      if y is not None]))
-        return out
+        return (self._m(a, b, [(x, y) for x, y in zip(src, choice)
+                               if y is not None])
+                for choice in product(options, repeat=len(src)))
 
     def sample_hom(self, a, b, rng):
         options = [None] + _sorted(b)

@@ -1,8 +1,8 @@
 """Derived operations built from coproducts and discarding.
 
 Everything here is generic over a :class:`~opcheck.theory.Theory`:
-projections, codiagonals, totality, complements, merging of outcome
-events, pairing and outcome-controlled sequencing.
+projections, codiagonals, observations, totality, complements, merging of
+outcome events, pairing and outcome-controlled sequencing.
 Nothing is instance-specific.
 """
 
@@ -76,9 +76,19 @@ def _discard(theory, a):
     return top
 
 
+def observation(f):
+    """The discard composite ``discard . f``, composed on first use and
+    kept in ``f.observation``."""
+    obs = f.observation
+    if obs is None:
+        th = f.theory
+        obs = f.observation = th.compose(_discard(th, f.cod), f)
+    return obs
+
+
 def is_total(f):
     th = f.theory
-    return th.equal(th.compose(_discard(th, f.cod), f), _discard(th, f.dom))
+    return th.equal(observation(f), _discard(th, f.dom))
 
 
 def complement_effect(e):
@@ -106,7 +116,7 @@ def total_extension(f):
     uniqueness of that complement makes the extension canonical.
     """
     th = f.theory
-    c = complement_effect(th.compose(_discard(th, f.cod), f))
+    c = complement_effect(observation(f))
     h = th.try_pairing([f, c])
     if h is None:
         raise NotAPartialTest(

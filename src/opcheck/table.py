@@ -20,7 +20,6 @@ from itertools import product
 
 from . import kernel, ops
 from .errors import (
-    BoundExceeded,
     CompositionError,
     Incompatible,
     NotEnumerable,
@@ -103,30 +102,16 @@ class TableTheory(SemiringMatrices):
                 count *= len(self._base_payloads(x, y))
         return count
 
-    def enumerate_hom(self, a, b, cap=None):
-        count = self.hom_count(a, b)
-        if cap is not None and count > cap:
-            raise BoundExceeded(f"{self.name}: hom has {count} elements", count)
-        s = self.semiring
+    def _homset(self, a, b, cap):
         block_lists = [self._base_payloads(x, y) for x in a for y in b]
-        out = []
         for choice in product(*block_lists):
-            rows = []
-            ok = True
-            for ri, x in enumerate(a):
-                for r in range(self.sizes[x]):
-                    row = []
-                    for ci, y in enumerate(b):
-                        row.extend(choice[ri * len(b) + ci][r])
-                    if not kernel.row_in_unit(s, row):
-                        ok = False
-                        break
-                    rows.append(row)
-                if not ok:
-                    break
-            if ok:
-                out.append(self._m(a, b, rows))
-        return out
+            # block (ri, ci) is choice[ri * len(b) + ci]; a row of the event
+            # is row r of every block in its block row, side by side
+            rows = [[e for ci in range(len(b))
+                     for e in choice[ri * len(b) + ci][r]]
+                    for ri, x in enumerate(a) for r in range(self.sizes[x])]
+            if all(kernel.row_in_unit(self.semiring, row) for row in rows):
+                yield self._m(a, b, rows)
 
     def sample_hom(self, a, b, rng):
         all_homs = self.enumerate_hom(a, b)

@@ -11,16 +11,19 @@ All values are immutable after construction and every operation is a pure
 function, so theories may be shared freely between workers.  The
 exceptions are derived caches that never change what a value is: a
 cpsu morphism's ``form`` slot, which it fills on first use with a value
-computed from the payload alone; the payload of a semiring-matrix event,
-which is derived from its form on first read (the form itself is set when
-the event is born); an instance's memo of the homsets it has
-enumerated; and its memos of the codiagonals that ``ops.codiagonal`` has
-built and of the discard effects that ``ops._discard`` has built.
+computed from the payload alone; every morphism's ``observation`` slot,
+which ``ops.observation`` fills with its discard composite on first use;
+the payload of a semiring-matrix event, which is derived from its form on
+first read (the form itself is set when the event is born); the store of
+homsets that :meth:`Theory.enumerate_hom` keeps, one tuple per
+``(a, b)``; and an instance's memos of the codiagonals that
+``ops.codiagonal`` has built and of the discard effects that
+``ops._discard`` has built.
 """
 
 from __future__ import annotations
 
-from .errors import CompositionError, NotEnumerable, NotMonoidal
+from .errors import BoundExceeded, CompositionError, NotEnumerable, NotMonoidal
 
 
 class Morphism:
@@ -36,9 +39,12 @@ class Morphism:
     (``instances.matrix.MatrixEvent``) turns this around: it is born in its
     carrier's form, on which all its arithmetic is done, and its payload of
     rows is derived from that form on first read.
+
+    ``observation`` is None or the discard composite ``discard . f``, which
+    ``ops.observation`` computes on first use and keeps there.
     """
 
-    __slots__ = ("theory", "dom", "cod", "payload", "form")
+    __slots__ = ("theory", "dom", "cod", "payload", "form", "observation")
 
     def __init__(self, theory, dom, cod, payload, form=None):
         self.theory = theory
@@ -46,6 +52,7 @@ class Morphism:
         self.cod = cod
         self.payload = payload
         self.form = form
+        self.observation = None
 
     def __eq__(self, other):
         if not isinstance(other, Morphism) or self.theory is not other.theory:
@@ -222,15 +229,30 @@ class Theory:
 
     # -- enumeration / sampling -------------------------------------------
     def enumerate_hom(self, a, b, cap=None):
-        """Complete duplicate-free enumeration of hom(a, b), fixed order.
-
-        Raises :class:`NotEnumerable` when impossible and
-        :class:`BoundExceeded` when the count passes ``cap``.
+        """Complete duplicate-free enumeration of hom(a, b), fixed order:
+        one tuple, built by :meth:`_homset` on the first call for ``(a, b)``
+        and returned by every later call.  Raises :class:`NotEnumerable`
+        when impossible, keeping nothing, and :class:`BoundExceeded`
+        whenever :meth:`hom_count` passes ``cap``, kept homset or not.
         """
+        count = self.hom_count(a, b) if cap is not None else None
+        if count is not None and count > cap:
+            raise BoundExceeded(f"homset size {count} over cap", count)
+        store = vars(self).setdefault("_homsets", {})
+        homs = store.get((a, b))
+        if homs is None:
+            homs = store[a, b] = tuple(self._homset(a, b, cap))
+        return homs
+
+    def _homset(self, a, b, cap):
+        """The events of hom(a, b) in order, for :meth:`enumerate_hom` to
+        keep; a subclass whose count is known only as it builds tests
+        ``cap`` here."""
         raise NotEnumerable(f"{self.name}: hom enumeration not supported")
 
     def hom_count(self, a, b):
-        """Size of hom(a, b) without materializing it, when cheap; else None."""
+        """The number of events enumerating hom(a, b) visits (a bound on
+        its size), when cheap to know without building them; else None."""
         return None
 
     def sample_hom(self, a, b, rng):

@@ -71,15 +71,15 @@ def _parse_entry(semiring, value, location):
         f"cannot read {value!r} as an element of {semiring.name}", location)
 
 
-def _grid(params, default):
+def _grid(params, default, override):
     grid = params.get("grid", default)
     if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
         raise TheoryFileError(f"grid must be an integer >= 1, got {grid!r}",
                               "parameters.grid")
-    return grid
+    return grid if override is None else override
 
 
-def _parse_builtin(doc):
+def _parse_builtin(doc, grid):
     name = _require(doc, "name", "builtin")
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
@@ -91,7 +91,7 @@ def _parse_builtin(doc):
     if name == "pfun":
         return PFunTheory()
     if name == "substoch":
-        return SubStochTheory(grid=_grid(params, 4))
+        return SubStochTheory(grid=_grid(params, 4, grid))
     if name == "cpsu":
         tol = params.get("tol", kernel.DEFAULT_TOL)
         if (isinstance(tol, bool) or not isinstance(tol, (int, float))
@@ -103,7 +103,7 @@ def _parse_builtin(doc):
     if name == "mat":
         semiring = _parse_semiring(_require(params, "semiring", "parameters"),
                                    "parameters.semiring")
-        return MatrixTheory(semiring, grid=_grid(params, 2))
+        return MatrixTheory(semiring, grid=_grid(params, 2, grid))
     raise TheoryFileError(
         f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}",
         "name")
@@ -148,7 +148,8 @@ def _parse_table(doc):
                        homs, discards, tests=tests, coarse_grain_table=cg)
 
 
-def parse_doc(doc):
+def parse_doc(doc, grid=None):
+    """The theory ``doc`` describes; a matrix builtin on ``grid`` if given."""
     if not isinstance(doc, dict):
         raise TheoryFileError("theory file must be a JSON object", "top level")
     fmt = _require(doc, "format", "format")
@@ -157,7 +158,7 @@ def parse_doc(doc):
                               "format")
     kind = _require(doc, "kind", "kind")
     if kind == "builtin":
-        theory = _parse_builtin(doc)
+        theory = _parse_builtin(doc, grid)
     elif kind == "table":
         theory = _parse_table(doc)
     elif kind == "plus":
@@ -171,7 +172,9 @@ def parse_doc(doc):
     return theory
 
 
-def load_theory(path):
+def load_theory(path, grid=None):
+    """The theory in the file at ``path``, built on ``grid`` if given,
+    which only a matrix builtin takes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -179,7 +182,10 @@ def load_theory(path):
         raise TheoryFileError(str(exc), path) from exc
     except json.JSONDecodeError as exc:
         raise TheoryFileError(f"invalid JSON: {exc}", path) from exc
-    return parse_doc(doc)
+    theory = parse_doc(doc, grid)
+    if grid is not None and not isinstance(theory, MatrixTheory):
+        raise TheoryFileError("--grid does not apply to this theory", path)
+    return theory
 
 
 def _serialize_semiring(semiring):

@@ -4,10 +4,11 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from opcheck import checker
+from opcheck import checker, ops
 from opcheck.checker import (
     CHECK_IDS,
     ProbeConfig,
@@ -17,7 +18,7 @@ from opcheck.checker import (
     run_check,
 )
 from opcheck.constructions import par, plus_completion, quotient
-from opcheck.errors import NotEnumerable
+from opcheck.errors import BoundExceeded, NotEnumerable
 from opcheck.instances import (
     CpsuTheory,
     MatrixTheory,
@@ -26,6 +27,9 @@ from opcheck.instances import (
 )
 from opcheck.kernel import BOOLEANS, INTEGERS
 from opcheck.theory import Morphism, Theory
+from opcheck.theoryfile import load_theory
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 VERDICT_RE = re.compile(
     r"^(holds-exhaustive|holds-sampled\([0-9]+\)|fails|inconclusive\(.*\))$")
@@ -147,6 +151,94 @@ def test_discard_tensor_law_runs_once_for_both_ids(monkeypatch):
     report = classify(PFunTheory(), CFG, only=["def3.3-c5"])
     assert ran == ["def3.3-c5"]
     assert report.result("def3.3-c5").instances == iv.instances
+
+
+# every kind of theory that enumerates its homsets
+ENUMERABLE = {
+    "substoch": lambda: SubStochTheory(grid=2),
+    "mat_bool": lambda: MatrixTheory(BOOLEANS, grid=1),
+    "pfun": PFunTheory,
+    "stateless": lambda: load_theory(FIXTURES / "stateless.theory"),
+    "par": lambda: par(SubStochTheory(grid=2)),
+    "plus": lambda: plus_completion(SubStochTheory(grid=1)),
+    "quotient": lambda: quotient(SubStochTheory(grid=2)),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERABLE)
+def test_each_enumerable_theory_keeps_its_homsets_in_one_store(name):
+    """The largest probe homset is built once and the same tuple returned
+    after; a cap below its count raises before and after it is kept, and a
+    run lists it as skipped with that count."""
+    th = ENUMERABLE[name]()
+    a = b = th.probe_objects(2)[-1]
+    reference = ENUMERABLE[name]()
+    size = len(reference.enumerate_hom(a, b))
+    count = reference.hom_count(a, b)
+    assert count >= size > 1
+    over = f"homset size {count} over cap"
+    with pytest.raises(BoundExceeded, match=over):
+        th.enumerate_hom(a, b, count - 1)
+    homs = th.enumerate_hom(a, b, count)
+    assert isinstance(homs, tuple) and len(homs) == size
+    assert th.enumerate_hom(a, b) is homs
+    with pytest.raises(BoundExceeded, match=over):
+        th.enumerate_hom(a, b, count - 1)
+    run = _Run(th, ProbeConfig(bound=2, cap=count - 1), "cat-identity")
+    assert run.homs(a, b) is None
+    assert run.skipped == [{"dom": th.object_str(a), "cod": th.object_str(b),
+                            "reason": over}]
+    assert th.enumerate_hom(a, b, count) is homs
+
+
+def test_a_theory_that_cannot_enumerate_keeps_nothing():
+    cpsu = CpsuTheory()
+    with pytest.raises(NotEnumerable):
+        cpsu.enumerate_hom((2,), (2,), 10)
+    assert not vars(cpsu).get("_homsets")
+
+
+def _discard_composites(th):
+    """Wrap ``th.compose`` on the instance.  Returns the list of calls and,
+    per event ``f``, the calls that composed ``f`` with the discard effect
+    of its codomain that ``ops`` keeps (each such ``f`` is held alive, so
+    its id is not reused)."""
+    calls, built = [], {}
+    compose = th.compose
+
+    def counted(g, f):
+        calls.append((g, f))
+        if g is vars(th).get("_discards", {}).get(f.cod):
+            built.setdefault(id(f), []).append(f)
+        return compose(g, f)
+    th.compose = counted
+    return calls, built
+
+
+def test_each_event_keeps_its_discard_composite():
+    pfun = PFunTheory()
+    calls, built = _discard_composites(pfun)
+    a = frozenset({"x1", "x2"})
+    f = pfun.enumerate_hom(a, a)[-1]
+    obs = ops.observation(f)
+    assert f.observation is obs and ops.observation(f) is obs
+    assert len(built[id(f)]) == 1
+    assert pfun.equal(obs, pfun.compose(pfun.discard(a), f))
+    assert ops.is_total(f)
+    del calls[:]
+    assert ops.is_total(f)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make,bound", [
+    (PFunTheory, 3), (lambda: plus_completion(SubStochTheory(grid=1)), 2)])
+def test_classify_builds_each_discard_composite_once(make, bound):
+    th = make()
+    _, built = _discard_composites(th)
+    classify(th, ProbeConfig(bound=bound))
+    events = [f for hs in vars(th)["_homsets"].values() for f in hs]
+    counts = Counter(len(built.get(id(f), ())) for f in events)
+    assert counts[1] and max(counts) == 1, counts
 
 
 def test_over_cap_homsets_are_skipped_not_sampled():

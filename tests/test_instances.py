@@ -94,8 +94,9 @@ def test_matrix_enumeration_counts():
 
 def test_each_homset_is_enumerated_once():
     """A homset is built on its first enumeration and the same tuple is
-    returned after; a cap below its size still raises, and a new grid
-    gets its own homset."""
+    returned after; a cap below its size still raises.  The grid is fixed
+    when the theory is built, and a theory on another grid has its own
+    homsets."""
     sub = SubStochTheory(grid=2)
     homs = sub.enumerate_hom(2, 2, 100)
     assert isinstance(homs, tuple) and len(homs) == 36
@@ -103,8 +104,10 @@ def test_each_homset_is_enumerated_once():
     assert sub.enumerate_hom(2, 2, 36) is homs
     with pytest.raises(BoundExceeded):
         sub.enumerate_hom(2, 2, 35)
-    sub.grid = 3
-    assert len(sub.enumerate_hom(2, 2)) == 100
+    with pytest.raises(AttributeError):
+        sub.grid = 3
+    assert len(SubStochTheory(grid=3).enumerate_hom(2, 2)) == 100
+    assert sub.enumerate_hom(2, 2) is homs
 
 
 def test_integer_matrices_include_negatives():

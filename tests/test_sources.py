@@ -1,5 +1,6 @@
-"""The sources themselves: every module compiles without a warning, and no
-module under the package or the tests imports a name it never uses.
+"""The sources themselves: every module compiles without a warning, no
+module under the package or the tests imports a name it never uses, and
+homsets are enumerated and kept in one place.
 
 ``compile`` reads the source afresh, so an invalid escape sequence or a
 similar slip is caught even where a cached ``.pyc`` would hide it.
@@ -57,3 +58,17 @@ def test_no_module_has_an_unused_import():
     failures = {f"{path.parent.name}/{path.name}": unused for path in modules
                 if (unused := _unused_imports(path))}
     assert not failures, failures
+
+
+def test_only_theory_enumerates_homsets():
+    """Subclasses supply ``_homset``; the cap test and the homset store
+    live in ``Theory.enumerate_hom`` alone."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.relative_to(PACKAGE)}:{node.name}"
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name == "enumerate_hom"]
+    assert found == ["theory.py:Theory"]
