@@ -1,14 +1,14 @@
 """Category-level transformers: the partial-morphism category, the
-direct-sum completion, quotients, and extension of functors.
+direct-sum completion and quotients.
 
 Each construction is a pure wrapper around one or two existing theories.
 ``ParTheory`` rebuilds a partial-event theory out of the total events of a
 base, Par(Tot(C)): its morphisms are the total base events into ``B + I``.
-The base and Par(Tot(base)) are mutually inverse up to the round-trip
-checked by :func:`roundtrip_check`.
+The base and Par(Tot(base)) are mutually inverse up to the round trip that
+the checker's ``def3.3-c3`` decides: every event has a total extension into
+``B + I``, it restricts back to the event, and it is the only one that does.
 ``PlusTheory`` freely adds direct sums; ``QuotientTheory`` identifies events
-indistinguishable on state/effect probes; :func:`extension_functor` lifts a
-theory morphism to the completion.
+indistinguishable on state/effect probes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     Incompatible,
     NoComplement,
     NotAPartialTest,
-    NotATheoryMorphism,
     NotEnumerable,
     ValidationError,
 )
@@ -168,71 +167,6 @@ class ParTheory(_OnBaseObjects):
 
 def par(base):
     return ParTheory(base)
-
-
-# ---------------------------------------------------------------------------
-# Round-trip between the two presentations
-
-def roundtrip_check(theory, bound=2, cap=None):
-    """Verify that events of the base and total morphisms into ``B + I`` are
-    in bijection on every probe homset, and that the bijection is the
-    total-extension / first-projection pair.
-
-    The verdict dictionary carries every mismatch and every homset skipped
-    for size.
-    """
-    base = theory
-    unit = base.unit()
-    failures = []
-    skipped = []
-    pairs = 0
-    morphisms = 0
-    for a in base.probe_objects(bound):
-        for b in base.probe_objects(bound):
-            lifted = base.coproduct((b, unit))
-            try:
-                events = base.enumerate_hom(a, b, cap)
-                totals = [h for h in base.enumerate_hom(a, lifted, cap)
-                          if ops.is_total(h)]
-            except (NotEnumerable, BoundExceeded) as exc:
-                skipped.append({"dom": base.object_str(a),
-                                "cod": base.object_str(b),
-                                "reason": str(exc)})
-                continue
-            pairs += 1
-            morphisms += len(events)
-            proj = ops.projection(base, (b, unit), 0)
-            seen = set()
-            for f in events:
-                try:
-                    ext = ops.total_extension(f)
-                except (NoComplement, NotAPartialTest) as exc:
-                    failures.append({"kind": "no-total-extension",
-                                     "event": repr(f), "reason": str(exc)})
-                    continue
-                back = base.compose(proj, ext)
-                if not base.equal(back, f):
-                    failures.append({"kind": "projection-mismatch",
-                                     "event": repr(f), "roundtrip": repr(back)})
-                key = base.morphism_key(ext)
-                seen.add(len(seen) if key is None else key)
-            if len(seen) != len(events):
-                failures.append({"kind": "not-injective",
-                                 "dom": base.object_str(a),
-                                 "cod": base.object_str(b)})
-            for t in totals:
-                down = base.compose(proj, t)
-                try:
-                    again = ops.total_extension(down)
-                except (NoComplement, NotAPartialTest) as exc:
-                    failures.append({"kind": "no-total-extension",
-                                     "event": repr(down), "reason": str(exc)})
-                    continue
-                if not base.equal(again, t):
-                    failures.append({"kind": "extension-mismatch",
-                                     "total": repr(t), "rebuilt": repr(again)})
-    return {"ok": not failures, "pairs": pairs, "morphisms": morphisms,
-            "failures": failures, "skipped": skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -682,88 +616,3 @@ class QuotientTheory(_OnBaseObjects):
 def quotient(theory, bound=2, cap=20000, samples=64, seed=0, monoidal=False):
     return QuotientTheory(theory, bound=bound, cap=cap, samples=samples,
                           seed=seed, monoidal=monoidal)
-
-
-# ---------------------------------------------------------------------------
-# Extension of theory morphisms to the completion
-
-class ExtendedFunctor:
-    """The lift of a validated theory morphism to the direct-sum completion."""
-
-    def __init__(self, source_plus, target, object_map, morphism_map):
-        self.source_plus = source_plus
-        self.target = target
-        self.object_map = object_map
-        self.morphism_map = morphism_map
-
-    def apply(self, m):
-        tgt = self.target
-        rows = m.payload
-        dom_summands = tuple(self.object_map(o) for o in m.dom)
-        cod_summands = tuple(self.object_map(o) for o in m.cod)
-        dom = tgt.coproduct(dom_summands)
-        cod = tgt.coproduct(cod_summands)
-        parts = []
-        for i in range(len(m.dom)):
-            proj = ops.projection(tgt, dom_summands, i)
-            for j in range(len(m.cod)):
-                image = self.morphism_map(rows[i][j])
-                kappa = tgt.coprojection(cod_summands, j)
-                parts.append(tgt.compose(kappa, tgt.compose(image, proj)))
-        out = ops.coarse_grain_all(tgt, dom, cod, parts)
-        for i in range(len(m.dom)):
-            for j in range(len(m.cod)):
-                got = tgt.compose(ops.projection(tgt, cod_summands, j),
-                                  tgt.compose(out, tgt.coprojection(dom_summands, i)))
-                if not tgt.equal(got, self.morphism_map(rows[i][j])):
-                    raise NotATheoryMorphism(
-                        f"extension does not restrict to entry ({i},{j})")
-        return out
-
-
-def extension_functor(source, target, object_map, morphism_map, *, bound=2,
-                      seed=0, samples=32, cap=2000):
-    """Validate a theory morphism on probes and lift it to the completion.
-
-    Raises :class:`NotATheoryMorphism` with a description of the violated
-    preservation property; on success returns an :class:`ExtendedFunctor`
-    acting on the source completion.
-    """
-    if object_map(source.unit()) != target.unit():
-        raise NotATheoryMorphism("the trivial system is not preserved")
-    if object_map(source.zero()) != target.zero():
-        raise NotATheoryMorphism("the zero system is not preserved")
-    probes = [o for o in source.probe_objects(bound)]
-    for a in probes:
-        fa = object_map(a)
-        if not target.equal(morphism_map(source.identity(a)), target.identity(fa)):
-            raise NotATheoryMorphism(
-                f"identity on {source.object_str(a)} is not preserved")
-        if not target.equal(morphism_map(source.discard(a)), target.discard(fa)):
-            raise NotATheoryMorphism(
-                f"discarding on {source.object_str(a)} is not preserved")
-        for b in probes:
-            fb = object_map(b)
-            if not target.equal(morphism_map(source.zero_morphism(a, b)),
-                                target.zero_morphism(fa, fb)):
-                raise NotATheoryMorphism("a zero event is not preserved")
-            rng = random.Random(f"{seed}:ext:{source.object_str(a)}:{source.object_str(b)}")
-            try:
-                events = source.enumerate_hom(a, b, cap)
-            except (NotEnumerable, BoundExceeded):
-                events = [source.sample_hom(a, b, rng) for _ in range(samples)]
-            for _ in range(samples):
-                if len(events) < 2:
-                    break
-                f = events[rng.randrange(len(events))]
-                g = events[rng.randrange(len(events))]
-                if source.try_pairing([f, g]) is None:
-                    continue
-                ff, fg = morphism_map(f), morphism_map(g)
-                if target.try_pairing([ff, fg]) is None:
-                    raise NotATheoryMorphism(
-                        "a partial test maps to a family with no pairing")
-                merged = morphism_map(ops.coarse_grain(f, g))
-                if not target.equal(merged, ops.coarse_grain(ff, fg)):
-                    raise NotATheoryMorphism("coarse-graining is not preserved")
-    return ExtendedFunctor(PlusTheory(source), target, object_map, morphism_map)

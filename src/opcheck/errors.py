@@ -91,10 +91,6 @@ class NotAvailable(OpcheckError):
     """The theory does not provide the requested structure (e.g. coproducts)."""
 
 
-class NotATheoryMorphism(OpcheckError):
-    """Functor data fails to preserve tests, merging, or the trivial system."""
-
-
 class SemiringLawError(OpcheckError):
     """A finite semiring table violates one of the semiring laws."""
 

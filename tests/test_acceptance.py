@@ -25,7 +25,6 @@ from opcheck.constructions import (
     par,
     plus_completion,
     quotient,
-    roundtrip_check,
     search_direct_sum,
 )
 from opcheck.instances import (
@@ -134,14 +133,17 @@ def test_04_counting_oracles():
 
 
 def test_05_roundtrips():
-    morphisms = 0
+    # def3.3-c3 decides the Par round trip: every event extends to a total
+    # morphism into B + I, the extension restricts back to the event, and
+    # no other total morphism restricts to it
+    instances = 0
     for theory in (PFunTheory(), SubStochTheory(grid=6),
                    MatrixTheory(INTEGERS, grid=1)):
-        result = roundtrip_check(theory, bound=2)
-        assert result["ok"], result["failures"]
-        assert not result["failures"]
-        morphisms += result["morphisms"]
-    assert morphisms >= 200
+        result = run_check(theory, ProbeConfig(bound=2), "def3.3-c3")
+        assert result.verdict == "holds-exhaustive", result.to_json()
+        assert not result.skipped and not result.notes
+        instances += result.instances
+    assert instances >= 200
 
 
 def test_06_plus_completion_direct_sums():

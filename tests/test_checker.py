@@ -90,6 +90,12 @@ def test_unknown_check_id_raises():
         run_check(PFunTheory(), CFG, "no-such-check")
 
 
+def test_classify_names_every_unknown_check_id():
+    with pytest.raises(KeyError, match="'no-such-check', 'nor-this'"):
+        classify(PFunTheory(), CFG,
+                 only=["cat-identity", "no-such-check", "nor-this"])
+
+
 def test_only_subset_runs_one_check():
     report = classify(SubStochTheory(grid=2), CFG, only=["cat-identity"])
     assert [r.id for r in report.results] == ["cat-identity"]
@@ -308,7 +314,9 @@ def test_relaxed_retry_leaves_a_shared_theory_alone(fail_retry):
         with pytest.raises(RuntimeError):
             run.check_eq(i2, pert, "f = g", {"f": i2, "g": pert})
     else:
-        assert run.check_eq(i2, pert, "f = g", {"f": i2, "g": pert})
+        # a comparison that holds returns; one that fails would raise
+        run.check_eq(i2, pert, "f = g", {"f": i2, "g": pert})
+        assert run.witness is None
         assert "relaxed-tolerance-used" in run.notes
     assert spy.tol == 1e-9
     # the retry passes the wider tolerance instead of writing it to the theory
@@ -455,6 +463,81 @@ MUTANTS = {
 def test_a_mutant_fails_its_check_with_the_recorded_witness(check_id):
     mutant, witness = MUTANTS[check_id]
     result = run_check(mutant, ProbeConfig(bound=2, seed=7), check_id)
+    assert result.verdict == "fails"
+    assert result.witness.replay()
+    assert result.witness.to_json() == witness
+
+
+# Mutants of the round trip between events into B and total morphisms into
+# B + I (Sec. 3).  Compared directly, the two sides can fail to match in four
+# ways: an event with no total extension, an extension that does not
+# restrict back to its event, two events with one extension, and a total
+# morphism that is not the extension of its own restriction.  Between them
+# these mutants show all four, and def3.3-c3 fails on each.
+
+
+class _FirstComplementOnly(MatrixTheory):
+    """Keeps only the first complement of each effect.  Over the booleans
+    [1] has two, so the total morphisms [1, 0] and [1, 1] into 1 + 1
+    restrict to the same event, and only one of them is its extension
+    (a total morphism that is not the extension of its restriction)."""
+
+    def effect_complements(self, e):
+        return super().effect_complements(e)[:1]
+
+
+class _NoComplementForHalf(SubStochTheory):
+    """Gives the effect [1/2] on 1 no complement, so no event with that
+    observation has a total extension."""
+
+    def effect_complements(self, e):
+        if _is(e, 1, 1, ((HALF,),)):
+            return []
+        return super().effect_complements(e)
+
+
+class _PairsZeroUnevenly(SubStochTheory):
+    """Pairs the zero event 1 -> 1 with its complement [1] as [1/2, 1/2].
+    That extension restricts to [1/2], not to zero; it is also the
+    extension of [1/2]; and the total [0, 1] is not rebuilt from zero."""
+
+    def try_pairing(self, events):
+        if len(events) == 2 and _is(events[0], 1, 1, ((0,),)) \
+                and _is(events[1], 1, 1, ((1,),)):
+            return self._m(1, 2, [[HALF, HALF]])
+        return super().try_pairing(events)
+
+
+ROUND_TRIP_MUTANTS = {
+    "extension-mismatch": (_FirstComplementOnly(BOOLEANS, grid=1), {
+        "equation": "the total extension is unique",
+        "parts": {
+            "event": "Morphism(mat_booleans: 1 -> 1, ((1,),))",
+            "g1": "Morphism(mat_booleans: 1 -> 2, ((1, 0),))",
+            "g2": "Morphism(mat_booleans: 1 -> 2, ((1, 1),))",
+        },
+        "lhs": "Morphism(mat_booleans: 1 -> 2, ((1, 0),))",
+        "rhs": "Morphism(mat_booleans: 1 -> 2, ((1, 1),))",
+    }),
+    "no-total-extension": (_NoComplementForHalf(grid=2), {
+        "equation": "every event has a total extension",
+        "parts": {"f": "Morphism(substoch: 1 -> 1, ((Fraction(1, 2),),))"},
+        "lhs": "Morphism(substoch: 1 -> 1, ((Fraction(1, 2),),))",
+        "rhs": "no extension",
+    }),
+    "projection-mismatch": (_PairsZeroUnevenly(grid=2), {
+        "equation": "the extension restricts to the event",
+        "parts": {"f": "Morphism(substoch: 1 -> 1, ((Fraction(0, 1),),))"},
+        "lhs": "Morphism(substoch: 1 -> 1, ((Fraction(1, 2),),))",
+        "rhs": "Morphism(substoch: 1 -> 1, ((Fraction(0, 1),),))",
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIP_MUTANTS))
+def test_def33_c3_fails_on_a_broken_round_trip(kind):
+    mutant, witness = ROUND_TRIP_MUTANTS[kind]
+    result = run_check(mutant, ProbeConfig(bound=2, seed=7), "def3.3-c3")
     assert result.verdict == "fails"
     assert result.witness.replay()
     assert result.witness.to_json() == witness

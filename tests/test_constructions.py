@@ -1,4 +1,4 @@
-"""Constructions: Par/Total round trip, completion, quotient, extension."""
+"""Constructions: partial maps over a total base, completion, quotient."""
 
 import random
 from fractions import Fraction
@@ -12,21 +12,18 @@ from opcheck.constructions import (
     ANCILLA_BOUND,
     PlusTheory,
     direct_sum_verify,
-    extension_functor,
     par,
     plus_completion,
     quotient,
-    roundtrip_check,
 )
 from opcheck.errors import (
     BoundExceeded,
     Incompatible,
     NotAPartialTest,
-    NotATheoryMorphism,
     NotEnumerable,
 )
 from opcheck.instances import CpsuTheory, MatrixTheory, PFunTheory, SubStochTheory
-from opcheck.kernel import BOOLEANS, INTEGERS
+from opcheck.kernel import BOOLEANS
 from opcheck.theoryfile import load_theory
 
 F = Fraction
@@ -57,18 +54,6 @@ def test_par_recovers_the_base_theory():
     g = ev(sub, 2, 1, [["1/2"], ["1"]])
     composed = p.compose(p.from_event(2, 1, g), lifted)
     assert p.to_event(composed).payload == sub.compose(g, f).payload
-
-
-def test_roundtrip_bijection_small():
-    result = roundtrip_check(SubStochTheory(grid=2), bound=2)
-    assert result["ok"]
-    assert result["morphisms"] > 0
-    assert not result["failures"]
-
-
-def test_roundtrip_detects_integer_negatives_fine():
-    result = roundtrip_check(MatrixTheory(INTEGERS, grid=1), bound=2)
-    assert result["ok"], result["failures"]
 
 
 # -- direct-sum completion -------------------------------------------------
@@ -369,48 +354,3 @@ def test_partial_form_survives_the_par_construction():
     assert len(report.results) == 3
     assert all(r.verdict == "holds-exhaustive" for r in report.results)
 
-
-# -- extension functor -----------------------------------------------------
-
-def test_extension_functor_identity():
-    sub = SubStochTheory(grid=2)
-    fbar = extension_functor(sub, sub, lambda a: a, lambda f: f)
-    plus = fbar.source_plus
-    f = plus.singleton(ev(sub, 1, 2, [["1/2", "1/4"]]))
-    image = fbar.apply(f)
-    assert image.dom == 1 and image.cod == 2
-    assert image.payload == ((F(1, 2), F(1, 4)),)
-
-
-def test_extension_functor_pfun_to_substoch():
-    pfun = PFunTheory()
-    sub = SubStochTheory(grid=2)
-
-    def obj_map(a):
-        return len(a)
-
-    def mor_map(f):
-        src = sorted(f.dom, key=repr)
-        tgt = sorted(f.cod, key=repr)
-        table = dict(f.payload)
-        rows = [[F(1) if table.get(x) == y else F(0) for y in tgt]
-                for x in src]
-        return sub.validate_event(rows, len(src), len(tgt))
-
-    fbar = extension_functor(pfun, sub, obj_map, mor_map)
-    a = frozenset({"x1", "x2"})
-    f = pfun.validate_event([("x1", "x1")], a, a)
-    image = fbar.apply(fbar.source_plus.singleton(f))
-    assert image.payload in (((F(1), F(0)), (F(0), F(0))),
-                             ((F(0), F(0)), (F(0), F(1))))
-
-
-def test_extension_functor_rejects_non_functor():
-    sub = SubStochTheory(grid=2)
-
-    def bad_map(f):
-        # collapses everything to zero, breaking identity preservation
-        return sub.zero_morphism(f.dom, f.cod)
-
-    with pytest.raises(NotATheoryMorphism):
-        extension_functor(sub, sub, lambda a: a, bad_map)

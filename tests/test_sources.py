@@ -1,6 +1,7 @@
 """The sources themselves: every module compiles without a warning, no
-module under the package or the tests imports a name it never uses, and
-homsets are enumerated and kept in one place.
+module under the package or the tests imports a name it never uses,
+homsets are enumerated and kept in one place, and checks end at their
+first counterexample by raising, not by a ``return`` written by hand.
 
 ``compile`` reads the source afresh, so an invalid escape sequence or a
 similar slip is caught even where a cached ``.pyc`` would hide it.
@@ -72,3 +73,35 @@ def test_only_theory_enumerates_homsets():
                           if isinstance(item, ast.FunctionDef)
                           and item.name == "enumerate_hom"]
     assert found == ["theory.py:Theory"]
+
+
+def _run_calls(node, name):
+    """The calls ``run.<name>(...)`` in the tree under ``node``."""
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == name and isinstance(n.func.value, ast.Name)
+            and n.func.value.id == "run"]
+
+
+def test_checks_end_at_a_counterexample_by_raising():
+    """``run.fail`` raises and ``run.check_eq`` returns nothing, so no
+    check reads what ``check_eq`` returns (as a condition or otherwise) and
+    no ``return`` follows a ``run.fail(...)`` statement."""
+    tree = ast.parse((PACKAGE / "checker.py").read_text(encoding="utf-8"))
+    statements = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)}
+    found = [f"line {call.lineno}: the value of run.check_eq is read"
+             for call in _run_calls(tree, "check_eq")
+             if id(call) not in statements]
+    fails = {id(call) for call in _run_calls(tree, "fail")}
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):
+                continue
+            found += [f"line {after.lineno}: return after run.fail"
+                      for stmt, after in zip(block, block[1:])
+                      if isinstance(stmt, ast.Expr) and id(stmt.value) in fails
+                      and isinstance(after, ast.Return)]
+    assert _run_calls(tree, "check_eq") and fails
+    assert not found, found
