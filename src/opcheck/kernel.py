@@ -15,7 +15,9 @@ are read.  :func:`semiring_product` and :func:`check_event` work on rows
 over the semiring's own operations; they are the reference the integer
 path is tested against.
 Floating point is confined to the complex-matrix helpers; every tolerance
-is passed explicitly.
+is passed explicitly.  Only the quantum theories (cpsu, finhilb) call them,
+and they are the only code here that uses numpy, which each imports when
+called, so the exact theories never load it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-
-import numpy as np
 
 from .errors import EigensolverError, EventViolation, SemiringLawError
 
@@ -504,6 +504,7 @@ BUILTIN_SEMIRINGS = {
 
 def matrix_approx_eq(m, n, tol=DEFAULT_TOL):
     """Entrywise comparison; a dimension mismatch is just ``False``."""
+    import numpy as np
     m = np.asarray(m)
     n = np.asarray(n)
     if m.shape != n.shape:
@@ -514,6 +515,7 @@ def matrix_approx_eq(m, n, tol=DEFAULT_TOL):
 
 
 def is_hermitian(m, tol=DEFAULT_TOL):
+    import numpy as np
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and matrix_approx_eq(m, m.conj().T, tol)
 
@@ -522,6 +524,7 @@ def min_eigenvalue(m):
     """The least eigenvalue of the Hermitian matrix ``m``, read from its
     lower triangle.  A 1-by-1 matrix's eigenvalue is the real part of its
     entry, which is what the eigensolver returns for it."""
+    import numpy as np
     m = np.asarray(m, dtype=complex)
     if m.shape == (1, 1):
         return float(m[0, 0].real)
@@ -535,6 +538,7 @@ def least_eigenvalues(ms):
     """The least eigenvalue of each Hermitian matrix in the stack ``ms``
     (shape ``(..., d, d)``), in one eigensolver call; each equals what
     :func:`min_eigenvalue` gives for that matrix alone."""
+    import numpy as np
     try:
         return np.linalg.eigvalsh(ms).min(axis=-1)
     except np.linalg.LinAlgError as exc:
@@ -545,6 +549,7 @@ def choi_positivity(c, tol=DEFAULT_TOL):
     """True iff ``c`` is Hermitian within ``tol`` with min eigenvalue >= -tol.
     A 1-by-1 matrix is decided on its entry as a Python ``complex``, by the
     same comparisons that the array path makes."""
+    import numpy as np
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"positivity check needs a square matrix, got shape {c.shape}")

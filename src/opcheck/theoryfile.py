@@ -5,7 +5,8 @@ A theory file is a JSON document.  The ``kind`` field selects between:
 - ``builtin``: one of the shipped instances (``pfun``, ``substoch``,
   ``mat``, ``cpsu``) with its parameters.  The ``mat`` instance takes a
   semiring, either the name of a builtin carrier or an inline finite
-  semiring given by element lists and operation tables.
+  semiring given by element lists and operation tables.  Only ``cpsu``
+  loads :mod:`opcheck.instances.cpsu`, and with it numpy.
 - ``table``: an explicit finite theory (see :mod:`opcheck.table`), with
   named objects and sizes, named events carrying semiring matrices, an
   optional test list and coarse-graining table, and a discard designation
@@ -26,12 +27,22 @@ import sys
 from . import kernel
 from .constructions import PlusTheory, plus_completion
 from .errors import TheoryFileError
-from .instances import CpsuTheory, MatrixTheory, PFunTheory, SubStochTheory
+from .instances import MatrixTheory, PFunTheory, SubStochTheory
 from .table import TableTheory
 
 FORMAT = "optheory/1"
 
 BUILTIN_NAMES = ("pfun", "substoch", "mat", "cpsu")
+
+# the keys that ``schemas/optheory.json`` allows in a document of each kind
+KIND_KEYS = {
+    "builtin": ("format", "kind", "name", "parameters"),
+    "table": ("format", "kind", "name", "semiring", "objects", "unit",
+              "events", "tests", "coarse_grain", "discards"),
+    "plus": ("format", "kind", "base", "bound", "objects"),
+}
+EVENT_KEYS = ("name", "dom", "cod", "payload")
+SEMIRING_KEYS = ("name", "elements", "add", "mul", "zero", "one")
 
 
 def _require(doc, key, location):
@@ -40,12 +51,19 @@ def _require(doc, key, location):
     return doc[key]
 
 
+def _reject_unknown_keys(doc, allowed, prefix=""):
+    for key in doc:
+        if key not in allowed:
+            raise TheoryFileError(f"unknown key {key!r}", f"{prefix}{key}")
+
+
 def _parse_semiring(spec, location):
     if isinstance(spec, str):
         if spec not in kernel.BUILTIN_SEMIRINGS:
             raise TheoryFileError(f"unknown semiring {spec!r}", location)
         return kernel.BUILTIN_SEMIRINGS[spec]
     if isinstance(spec, dict):
+        _reject_unknown_keys(spec, SEMIRING_KEYS, f"{location}.")
         name = _require(spec, "name", location)
         elements = _require(spec, "elements", location)
         try:
@@ -84,10 +102,7 @@ def _parse_builtin(doc, grid):
     params = doc.get("parameters", {})
     if not isinstance(params, dict):
         raise TheoryFileError("parameters must be an object", "parameters")
-    for key in params:
-        if key not in ("grid", "tol", "semiring"):
-            raise TheoryFileError(f"unknown parameter {key!r}",
-                                  f"parameters.{key}")
+    _reject_unknown_keys(params, ("grid", "tol", "semiring"), "parameters.")
     if name == "pfun":
         return PFunTheory()
     if name == "substoch":
@@ -99,6 +114,7 @@ def _parse_builtin(doc, grid):
             raise TheoryFileError(
                 f"tol must be a finite number > 0, got {tol!r}",
                 "parameters.tol")
+        from .instances.cpsu import CpsuTheory
         return CpsuTheory(tol=float(tol))
     if name == "mat":
         semiring = _parse_semiring(_require(params, "semiring", "parameters"),
@@ -117,7 +133,7 @@ def _parse_table(doc):
                               "objects")
     sizes = {}
     for nm, size in objects.items():
-        if not isinstance(size, int) or size < 1:
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise TheoryFileError(f"object {nm!r} needs a positive size",
                                   "objects")
         sizes[nm] = size
@@ -136,6 +152,7 @@ def _parse_table(doc):
             raise TheoryFileError(
                 f"event {nm!r} references undeclared object", loc)
         payload = _require(ev, "payload", loc)
+        _reject_unknown_keys(ev, EVENT_KEYS, f"{loc}.")
         rows = []
         for i, row in enumerate(payload):
             rows.append(tuple(_parse_entry(semiring, v, f"{loc}.payload[{i}]")
@@ -144,7 +161,10 @@ def _parse_table(doc):
     discards = _require(doc, "discards", "discards")
     tests = doc.get("tests", {})
     cg = [tuple(entry) for entry in doc.get("coarse_grain", [])]
-    return TableTheory(doc.get("name", "table"), semiring, sizes, unit_name,
+    name = doc.get("name", "table")
+    if not isinstance(name, str):
+        raise TheoryFileError(f"name must be a string, got {name!r}", "name")
+    return TableTheory(name, semiring, sizes, unit_name,
                        homs, discards, tests=tests, coarse_grain_table=cg)
 
 
@@ -157,17 +177,23 @@ def parse_doc(doc, grid=None):
         raise TheoryFileError(f"unsupported format {fmt!r}; expected {FORMAT!r}",
                               "format")
     kind = _require(doc, "kind", "kind")
+    if not isinstance(kind, str) or kind not in KIND_KEYS:
+        raise TheoryFileError(
+            f"unknown kind {kind!r}; expected builtin, table or plus", "kind")
+    _reject_unknown_keys(doc, KIND_KEYS[kind])
     if kind == "builtin":
         theory = _parse_builtin(doc, grid)
     elif kind == "table":
         theory = _parse_table(doc)
-    elif kind == "plus":
+    else:
+        bound = doc.get("bound")
+        if bound is not None and (isinstance(bound, bool)
+                                  or not isinstance(bound, int) or bound < 0):
+            raise TheoryFileError(
+                f"bound must be an integer >= 0, got {bound!r}", "bound")
         base = parse_doc(_require(doc, "base", "base"))
         theory = plus_completion(base)
-        theory.completion_bound = doc.get("bound")
-    else:
-        raise TheoryFileError(
-            f"unknown kind {kind!r}; expected builtin, table or plus", "kind")
+        theory.completion_bound = bound
     theory.source_doc = doc
     return theory
 
@@ -232,7 +258,9 @@ def serialize_theory(theory, bound=None):
     if isinstance(theory, SubStochTheory):
         return {"format": FORMAT, "kind": "builtin", "name": "substoch",
                 "parameters": {"grid": theory.grid}}
-    if isinstance(theory, CpsuTheory):
+    # a CpsuTheory exists only once its module is loaded
+    cpsu = sys.modules.get("opcheck.instances.cpsu")
+    if cpsu is not None and isinstance(theory, cpsu.CpsuTheory):
         return {"format": FORMAT, "kind": "builtin", "name": "cpsu",
                 "parameters": {"tol": theory.tol}}
     if isinstance(theory, MatrixTheory):

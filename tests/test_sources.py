@@ -1,7 +1,8 @@
 """The sources themselves: every module compiles without a warning, no
-module under the package or the tests imports a name it never uses,
-homsets are enumerated and kept in one place, and checks end at their
-first counterexample by raising, not by a ``return`` written by hand.
+module under the package or the tests imports a name it never uses, only
+the quantum theories import numpy when the package is loaded, homsets are
+enumerated and kept in one place, and checks end at their first
+counterexample by raising, not by a ``return`` written by hand.
 
 ``compile`` reads the source afresh, so an invalid escape sequence or a
 similar slip is caught even where a cached ``.pyc`` would hide it.
@@ -59,6 +60,48 @@ def test_no_module_has_an_unused_import():
     failures = {f"{path.parent.name}/{path.name}": unused for path in modules
                 if (unused := _unused_imports(path))}
     assert not failures, failures
+
+
+def _load_time_imports(path):
+    """``(line, name)`` for each name that ``path`` imports when it is
+    itself imported, as an absolute dotted name (``module.name`` for a
+    ``from`` import); imports inside a function body are left out."""
+    package = list(path.relative_to(PACKAGE.parent).parts[:-1])
+    found = []
+    stack = [ast.parse(path.read_text(encoding="utf-8"))]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = [node.module] if node.module else []
+            if node.level:
+                base = package[:len(package) - node.level + 1] + base
+            found += [(node.lineno, ".".join(base + [alias.name]))
+                      for alias in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_the_quantum_theories_import_numpy_at_load_time():
+    """Loading an exact theory must not pay for numpy: only
+    ``instances/cpsu.py`` imports it at module level, and no module imports
+    that one (or the names the package resolves from it) at module level."""
+    cpsu = ("opcheck.instances.cpsu", "opcheck.instances.CpsuTheory",
+            "opcheck.instances.FinHilbTheory")
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        where = path.relative_to(PACKAGE).as_posix()
+        for line, name in _load_time_imports(path):
+            root = name.split(".")[0]
+            if ((root == "numpy" and where != "instances/cpsu.py")
+                    or any(name == m or name.startswith(m + ".")
+                           for m in cpsu)):
+                found.append(f"{where}:{line}: {name}")
+    assert not found, found
 
 
 def test_only_theory_enumerates_homsets():

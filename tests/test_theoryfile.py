@@ -115,9 +115,10 @@ def test_format_tag_is_checked():
 
 
 def test_unknown_kind_and_builtin():
-    with pytest.raises(TheoryFileError) as exc:
-        parse_doc({"format": "optheory/1", "kind": "mystery"})
-    assert location_of(exc) == "kind"
+    for kind in ("mystery", ["builtin"]):
+        with pytest.raises(TheoryFileError) as exc:
+            parse_doc({"format": "optheory/1", "kind": kind})
+        assert location_of(exc) == "kind"
     with pytest.raises(TheoryFileError) as exc:
         parse_doc({"format": "optheory/1", "kind": "builtin", "name": "qft"})
     assert location_of(exc) == "name"
@@ -211,6 +212,70 @@ def test_object_sizes_must_be_positive():
     with pytest.raises(TheoryFileError) as exc:
         parse_doc(doc)
     assert location_of(exc) == "objects"
+
+
+@pytest.mark.parametrize("key,value,location", [
+    ("objects", {"I": 1, "X": True}, "objects"),
+    ("name", 5, "name"),
+], ids=["object-size-true", "name-not-a-string"])
+def test_table_values_outside_the_schema_report_their_path(key, value,
+                                                           location):
+    doc = dict(stateless_doc(), **{key: value})
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, THEORY_SCHEMA)
+    with pytest.raises(TheoryFileError) as exc:
+        parse_doc(doc)
+    assert location_of(exc) == location
+
+
+@pytest.mark.parametrize("bound", ["x", True, -1],
+                         ids=["not-an-integer", "true", "negative"])
+def test_plus_bound_outside_the_schema_is_an_input_error(tmp_path, capsys,
+                                                         bound):
+    doc = {"format": "optheory/1", "kind": "plus", "bound": bound,
+           "base": serialize_theory(SubStochTheory(grid=1))}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, THEORY_SCHEMA)
+    with pytest.raises(TheoryFileError) as exc:
+        parse_doc(doc)
+    assert location_of(exc) == "bound"
+    path = tmp_path / "plus.theory"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["complete", str(path), "--bound", "1"]) == cli.EXIT_INPUT
+    assert "(at bound)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"format": "optheory/1", "kind": "builtin", "name": "pfun", "grid": 3},
+     "grid"),
+    ({"format": "optheory/1", "kind": "plus", "bnd": 2,
+      "base": {"format": "optheory/1", "kind": "builtin", "name": "pfun"}},
+     "bnd"),
+    (dict(stateless_doc(), comment="x"), "comment"),
+], ids=["builtin", "plus", "table"])
+def test_top_level_keys_outside_the_schema_report_their_path(doc, key):
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, THEORY_SCHEMA)
+    with pytest.raises(TheoryFileError) as exc:
+        parse_doc(doc)
+    assert location_of(exc) == key
+
+
+def test_nested_keys_outside_the_schema_report_their_path():
+    table = stateless_doc()
+    table["events"][1]["note"] = "x"
+    semiring = {"name": "or-and", "elements": [0, 1], "add": [[0, 1], [1, 1]],
+                "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1, "note": "x"}
+    for doc, location in (
+            (table, "events[1].note"),
+            ({"format": "optheory/1", "kind": "builtin", "name": "mat",
+              "parameters": {"grid": 1, "semiring": semiring}},
+             "parameters.semiring.note")):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, THEORY_SCHEMA)
+        with pytest.raises(TheoryFileError) as exc:
+            parse_doc(doc)
+        assert location_of(exc) == location
 
 
 def test_table_must_be_closed_under_composition():
