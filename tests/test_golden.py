@@ -65,6 +65,12 @@ and each matrix homset to be enumerated once per theory.  The
 ``substoch_report`` fixture of ``test_acceptance.py`` already builds this
 report, so ``test_02_substoch_positive_fixture`` compares it there, under
 a wall-clock budget, rather than this module.
+
+``quotient_substoch_monoidal.json`` (the ``quotient`` command above on
+``substoch`` with ``--monoidal``) and ``classify_quotient_substoch_grid2.json``
+(the report of ``classify(quotient(SubStochTheory(grid=2)),
+ProbeConfig(bound=2, seed=7))``) were recorded before the quotient came to
+sign events by the base's probe basis.
 """
 
 import json
@@ -101,9 +107,9 @@ def _report_json(theory, cfg):
     return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def _classify_quotient(capsys):
-    return _report_json(quotient(SubStochTheory(grid=1)),
-                        ProbeConfig(bound=2, seed=7))
+def _classify_quotient(grid):
+    return lambda capsys: _report_json(quotient(SubStochTheory(grid=grid)),
+                                       ProbeConfig(bound=2, seed=7))
 
 
 def _classify_cpsu(capsys):
@@ -124,7 +130,10 @@ GOLDENS = {
         lambda c: _quotient_cli(c, "stateless", "--monoidal"),
     "quotient_pfun_monoidal.json":
         lambda c: _quotient_cli(c, "pfun", "--monoidal"),
-    "classify_quotient_substoch_grid1.json": _classify_quotient,
+    "quotient_substoch_monoidal.json":
+        lambda c: _quotient_cli(c, "substoch", "--monoidal"),
+    "classify_quotient_substoch_grid1.json": _classify_quotient(1),
+    "classify_quotient_substoch_grid2.json": _classify_quotient(2),
     "classify_mat_bool.json": lambda c: _classify_cli(c, "mat_bool"),
     "classify_mat_int.json": lambda c: _classify_cli(c, "mat_int"),
     "classify_pfun.json": lambda c: _classify_cli(c, "pfun"),
