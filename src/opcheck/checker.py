@@ -975,11 +975,20 @@ def check_direct_sums(run):
 
 
 def check_separation(run):
+    """Unequal parallel events have different outcomes on some state and
+    effect.  Where the theory has a probe basis of both ends, the homset is
+    keyed by its outcomes on the basis first; only when that puts two
+    unequal events under one key is it scanned over every state and
+    effect, which then decides the verdict and the witness."""
     th = run.theory
     unit = th.unit()
     scans = lambda a, b: _unless_skipped(run.homs(a, b), run.homs(unit, a),
                                          run.homs(b, unit))
     for a, b, (hs, states, effects) in run.homsets(run.squares(), scans):
+        into, out_of = th.probe_basis(a), th.probe_basis(b)
+        if into is not None and out_of is not None and not _first_clash(
+                run, hs, lambda f: th.outcome_key(f, into[0], out_of[1])):
+            continue
         if len(hs) * len(states) * len(effects) > run.cfg.cap:
             run.notes.add("scan-skipped-over-cap")
             continue

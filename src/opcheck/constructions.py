@@ -425,6 +425,15 @@ class QuotientTheory(_OnBaseObjects):
     the result.  In monoidal mode the probes range over states and effects
     extended by ancillas of size 1 to :data:`ANCILLA_BOUND`.
 
+    The states into an object and the effects out of it are the base's
+    :meth:`~opcheck.theory.Theory.probe_basis` of that object when it has
+    one (matrices and partial functions do), which groups events as every
+    state and effect would; otherwise they are its enumerated homsets, or
+    ``samples`` seeded draws where a homset cannot be enumerated within
+    ``cap``.  A signature is the tuple of outcomes over these probes, so
+    its value depends on the probe set; only which events share one is
+    fixed.
+
     Each base event is signed once: signatures, and the effect rows they are
     built from, are memoised under the event's exact key (the base's
     ``morphism_key``), and each probe homset is partitioned into classes
@@ -451,14 +460,21 @@ class QuotientTheory(_OnBaseObjects):
 
     # -- probes ------------------------------------------------------------
     def _hom_probe(self, a, b, tag):
+        """The probes of ``tag`` "state" (``a`` is the unit) or "effect"
+        (``b`` is the unit): the half of the base's probe basis of the
+        other object, else the homset or a seeded draw from it."""
         key = (tag, a, b)
         if key not in self._probe_cache:
             base = self.base
-            try:
-                out = base.enumerate_hom(a, b, self.cap)
-            except (NotEnumerable, BoundExceeded):
-                rng = random.Random(f"{self.seed}:{tag}:{base.object_str(a)}:{base.object_str(b)}")
-                out = [base.sample_hom(a, b, rng) for _ in range(self.samples)]
+            out = base.probe_basis(b if tag == "state" else a)
+            if out is not None:
+                out = out[tag == "effect"]
+            else:
+                try:
+                    out = base.enumerate_hom(a, b, self.cap)
+                except (NotEnumerable, BoundExceeded):
+                    rng = random.Random(f"{self.seed}:{tag}:{base.object_str(a)}:{base.object_str(b)}")
+                    out = [base.sample_hom(a, b, rng) for _ in range(self.samples)]
             self._probe_cache[key] = out
         return self._probe_cache[key]
 

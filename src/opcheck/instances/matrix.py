@@ -177,6 +177,14 @@ class MatrixTheory(SemiringMatrices):
     def discard(self, a):
         return self._zero_one(a, 1, [[1]] * a)
 
+    def probe_basis(self, a):
+        """The point states and point effects of ``a``: the outcome of
+        effect ``k`` after ``f`` after state ``i`` is the entry ``f[i][k]``,
+        over any semiring, so they tell every two events apart."""
+        points = [[int(i == j) for j in range(a)] for i in range(a)]
+        return ([self._zero_one(1, a, [row]) for row in points],
+                [self._zero_one(a, 1, [[x] for x in row]) for row in points])
+
     # -- tests and merging -------------------------------------------------
     def effect_complements(self, e):
         return [MatrixEvent(self, e.dom, 1, form)

@@ -95,6 +95,14 @@ class PFunTheory(Theory):
     def payload_key(self, f):
         return f.payload
 
+    def probe_basis(self, a):
+        """The points of ``a`` and the effects defined on one element: the
+        outcome of the effect on ``y`` after ``f`` after the point ``x`` is
+        defined exactly when ``f`` sends ``x`` to ``y``."""
+        unit = self.unit()
+        return ([self._m(unit, a, [("*", x)]) for x in _sorted(a)],
+                [self._m(a, unit, [(y, "*")]) for y in _sorted(a)])
+
     # -- tests and merging -------------------------------------------------
     def try_pairing(self, events):
         events = tuple(events)

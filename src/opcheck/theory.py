@@ -4,7 +4,8 @@ A :class:`Theory` is a category of events with finite coproducts, a zero
 object and a family of discarding effects (one per object), together with
 the structure every derived operation is built from: cotupling, a pairing
 procedure deciding which event families merge into one, and optionally a
-tensor.  Objects are plain hashable values whose shape is documented per
+tensor and a probe basis (:meth:`Theory.probe_basis`: finite states and
+effects that decide operational equivalence as all of them do).  Objects are plain hashable values whose shape is documented per
 instance; morphisms are :class:`Morphism` records tagged with their theory.
 
 All values are immutable after construction and every operation is a pure
@@ -177,6 +178,20 @@ class Theory:
         return tuple(self.rounded_key(self.compose(e, fw))
                      for fw in [self.compose(f, w) for w in states]
                      for e in effects)
+
+    def probe_basis(self, a):
+        """``(states, effects)``: finitely many states ``unit -> a`` and
+        effects ``a -> unit`` such that two events share an
+        :meth:`outcome_key` over the states into their domain and the
+        effects out of their codomain exactly when they share one over
+        every state and effect; or None when the theory has no such set.
+
+        The default is None: operational equivalence is then decided on
+        the enumerated (or sampled) states and effects themselves.  An
+        instance whose events are read off by a few probes, as a matrix is
+        by its point states and effects, returns those.
+        """
+        return None
 
     def morphism_key(self, f):
         """The exact key ``(dom, cod, payload_key)`` of event ``f``, or None

@@ -760,5 +760,33 @@ def test_only_homsets_over_the_cap_are_listed_as_skipped():
     for cid, s in skipped:
         # substochastic objects are dimensions, printed as numbers
         assert sub.hom_count(int(s["dom"]), int(s["cod"])) > cap, (cid, s)
-    for cid in ("lemmaB.3-i", "separation"):
-        assert "scan-skipped-over-cap" in report.result(cid).notes
+    assert "scan-skipped-over-cap" in report.result("lemmaB.3-i").notes
+    # substoch's separation is decided on its probe basis, a table's on
+    # every state and effect, whose product passes a small enough cap
+    assert report.result("separation").notes == []
+    table = load_theory(FIXTURES / "stateless.theory")
+    result = run_check(table, ProbeConfig(bound=2, cap=5), "separation")
+    assert "scan-skipped-over-cap" in result.notes
+
+
+class _BlindSubStoch(SubStochTheory):
+    """Substochastic matrices with a probe basis of no states and no
+    effects, which gives every event of a homset one outcome key."""
+
+    def probe_basis(self, a):
+        return [], []
+
+
+def test_separation_rescans_every_probe_when_the_basis_clashes():
+    cfg = ProbeConfig(bound=2)
+    result = run_check(_BlindSubStoch(grid=2), cfg, "separation")
+    assert result.verdict == "holds-exhaustive"
+    # the basis keys of each homset clash at its second event
+    assert result.instances > run_check(SubStochTheory(grid=2), cfg,
+                                        "separation").instances
+    table = load_theory(FIXTURES / "stateless.theory")
+    want = run_check(table, cfg, "separation")
+    table.probe_basis = lambda a: ([], [])
+    got = run_check(table, cfg, "separation")
+    assert got.verdict == want.verdict == "fails"
+    assert got.witness.to_json() == want.witness.to_json()

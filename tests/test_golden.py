@@ -70,7 +70,12 @@ a wall-clock budget, rather than this module.
 ``substoch`` with ``--monoidal``) and ``classify_quotient_substoch_grid2.json``
 (the report of ``classify(quotient(SubStochTheory(grid=2)),
 ProbeConfig(bound=2, seed=7))``) were recorded before the quotient came to
-sign events by the base's probe basis.
+sign events by the base's probe basis.  When ``separation`` came to key
+events on the probe basis first, ``classify_substoch.json``,
+``classify_substoch_cap100.json`` and ``classify_substoch_grid6_bound3.json``
+were recorded again: only the instance count of ``separation`` moved, and
+its ``scan-skipped-over-cap`` note went, since no scan on the basis passes
+the cap.
 """
 
 import json

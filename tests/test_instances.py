@@ -625,3 +625,50 @@ def test_finhilb_direct_sum_decision():
     assert "rank" in reason
     exists, _ = fh.direct_sum_decision(((2,),), (2,))
     assert exists
+
+
+# -- probe bases -----------------------------------------------------------
+
+BASIS_THEORIES = {
+    "substoch-grid1": lambda: SubStochTheory(grid=1),
+    "substoch-grid2": lambda: SubStochTheory(grid=2),
+    "mat_bool": lambda: MatrixTheory(BOOLEANS),
+    "mat_int": lambda: MatrixTheory(INTEGERS, grid=1),
+    "pfun": PFunTheory,
+}
+
+
+@pytest.mark.parametrize("monoidal", [False, True])
+@pytest.mark.parametrize("name", sorted(BASIS_THEORIES))
+def test_probe_basis_groups_events_as_every_probe_does(name, monoidal):
+    # the objects the quotient probes: the probe objects, and with monoidal
+    # probes each of them tensored with an ancilla of size 1 or 2
+    th = BASIS_THEORIES[name]()
+    unit = th.unit()
+    probes = th.probe_objects(2)
+    ancillas = [None]
+    if monoidal:
+        ancillas += [c for c in th.probe_objects(2) if th.object_size(c) >= 1]
+    for a in {th.tensor_obj(a, c) if c else a for a in probes for c in ancillas}:
+        states, effects = th.probe_basis(a)
+        assert len(states) == len(effects) == th.object_size(a)
+        assert all(w in th.enumerate_hom(unit, a) for w in states)
+        assert all(e in th.enumerate_hom(a, unit) for e in effects)
+    for a, b in product(probes, repeat=2):
+        hs = th.enumerate_hom(a, b)
+        for c in ancillas:
+            if c is None:
+                dom, cod, fs = a, b, hs
+            else:
+                dom, cod = th.tensor_obj(a, c), th.tensor_obj(b, c)
+                fs = [th.tensor(f, th.identity(c)) for f in hs]
+            by_basis = [th.outcome_key(f, th.probe_basis(dom)[0],
+                                       th.probe_basis(cod)[1]) for f in fs]
+            by_all = [th.outcome_key(f, th.enumerate_hom(unit, dom),
+                                     th.enumerate_hom(cod, unit)) for f in fs]
+            for i, j in product(range(len(fs)), repeat=2):
+                assert (by_basis[i] == by_basis[j]) == (by_all[i] == by_all[j])
+
+
+def test_cpsu_has_no_probe_basis():
+    assert CpsuTheory().probe_basis((2,)) is None
