@@ -19,7 +19,9 @@ replayable witness on the first counterexample in enumeration order, and
 A check is a plain function over its :class:`_Run`.  It ends at its first
 counterexample: ``_Run.fail`` records the witness and raises ``_Failed``,
 ``_Run.check_eq`` calls it on a mismatch, and :func:`run_check` alone
-catches it, so no check returns early by hand.
+catches it, so no check returns early by hand.  A check ticks one instance
+per tuple of its quantifiers, however many equations it compares on the
+tuple; ``check_eq`` compares and does not tick.
 
 For tolerance-based theories a failed comparison is retried at ten times the
 tolerance and only counts as a counterexample if it still fails; uses of
@@ -355,8 +357,7 @@ class _Run:
 
     # -- assertions --------------------------------------------------------
     def check_eq(self, f, g, equation, parts):
-        """Tick one instance and end the check unless ``f`` equals ``g``."""
-        self.instances += 1
+        """End the check unless ``f`` equals ``g``."""
         th = self.theory
         equal, relaxed = _relaxed_equal(th, f, g)
         if relaxed:
@@ -439,6 +440,7 @@ def check_cat_identity(run):
     for a, b, hs in run.homsets(run.squares()):
         ida, idb = th.identity(a), th.identity(b)
         for f in hs:
+            run.tick()
             run.check_eq(th.compose(idb, f), f, "id . f = f", {"f": f})
             run.check_eq(th.compose(f, ida), f, "f . id = f", {"f": f})
 
@@ -461,6 +463,7 @@ def check_cat_assoc(run):
             if not hs1 or not hs2 or not hs3:
                 continue
             f, g, h = run.pick(hs1), run.pick(hs2), run.pick(hs3)
+        run.tick()
         run.check_eq(th.compose(h, th.compose(g, f)),
                      th.compose(th.compose(h, g), f),
                      "h . (g . f) = (h . g) . f", {"f": f, "g": g, "h": h})
@@ -498,6 +501,7 @@ def check_zero_laws(run):
     for a, b, hs in run.homsets(run.squares()):
         z = th.zero_morphism(a, b)
         for f in hs:
+            run.tick()
             if th.try_pairing([f, z]) is None:
                 run.fail("f and 0 always merge", {"f": f}, repr(f), "no pairing")
             run.check_eq(ops.coarse_grain(f, z), f, "f v 0 = f", {"f": f})
@@ -505,6 +509,7 @@ def check_zero_laws(run):
             if not pre:
                 continue
             g = run.pick(pre)
+            run.tick()
             run.check_eq(th.compose(z, g), th.zero_morphism(c, b),
                          "0 . g = 0", {"g": g})
 

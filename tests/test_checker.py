@@ -718,7 +718,7 @@ def test_a_homset_that_cannot_be_sampled_is_skipped_by_the_lifted_totals():
     # def3.1-c1 fetches the totals into (1,1) + I as total extensions of
     # hom(x, (1,1)), so the stub's homset is skipped and the check goes on
     result = run_check(_UnsampledHomset(), cfg, "def3.1-c1")
-    assert result.verdict == "holds-sampled(12)"
+    assert result.verdict == "holds-sampled(8)"
     assert result.skipped == [{"dom": "(1)", "cod": "(1,1)",
                                "reason": "neither enumerable nor samplable"}]
     # these reach the lifted totals only for homsets that homs did not skip
@@ -790,3 +790,30 @@ def test_separation_rescans_every_probe_when_the_basis_clashes():
     got = run_check(table, cfg, "separation")
     assert got.verdict == want.verdict == "fails"
     assert got.witness.to_json() == want.witness.to_json()
+
+
+@pytest.mark.parametrize("check_id,count", [
+    # objects 0, 1 and 2 have one total effect each, discarding
+    ("lemma2.2-causality", 3),
+    # the nonempty objects 1 and 2 give 4 pairs (A, B) of 4 (x, y) each
+    ("eq2-projections", 16),
+    # the homsets between 0, 1 and 2 hold 59 events, each compared on both
+    # identity laws
+    ("cat-identity", 59),
+])
+def test_one_instance_is_one_tuple_of_the_quantifiers(check_id, count):
+    result = run_check(SubStochTheory(grid=2), ProbeConfig(bound=2), check_id)
+    assert result.verdict == "holds-exhaustive"
+    assert result.instances == count
+
+
+def test_coproduct_universal_counts_each_pair_and_each_cotuple_once():
+    # every pair (f, g) of legs is compared on both equations, and every
+    # h out of A + B is keyed once by the uniqueness scan
+    sub = SubStochTheory(grid=2)
+    size = lambda a, b: len(sub.enumerate_hom(a, b))
+    want = sum(size(a, c) * size(b, c) + size(a + b, c)
+               for a in (1, 2) for b in (1, 2) for c in (0, 1, 2))
+    result = run_check(sub, ProbeConfig(bound=2), "coproduct-universal")
+    assert result.verdict == "holds-exhaustive"
+    assert result.instances == want
