@@ -76,6 +76,12 @@ events on the probe basis first, ``classify_substoch.json``,
 were recorded again: only the instance count of ``separation`` moved, and
 its ``scan-skipped-over-cap`` note went, since no scan on the basis passes
 the cap.
+
+Every ``classify_*.json`` was recorded again when checks came to count one
+instance per tuple of their quantifiers (before, a comparison made with
+``check_eq`` after a tick of its own counted twice): only instance counts,
+and the ``n`` of ``holds-sampled(n)``, moved; every verdict kind, witness,
+note, skipped list and flag stayed.
 """
 
 import json
