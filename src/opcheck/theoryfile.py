@@ -13,7 +13,8 @@ A theory file is a JSON document.  The ``kind`` field selects between:
   per object.  Rational entries are written as strings like ``"1/2"``.
 - ``plus``: the direct-sum completion of another theory document, as
   produced by the ``complete`` command, remembering the object bound it
-  was generated under.
+  was generated under and, optionally, listing the probe objects at that
+  bound, which must then be the ones the completion has.
 
 ``parse_doc`` and ``serialize_theory`` are inverse up to semantic
 equivalence: reparsing a serialized document yields the same theory.
@@ -194,8 +195,26 @@ def parse_doc(doc, grid=None):
         base = parse_doc(_require(doc, "base", "base"))
         theory = plus_completion(base)
         theory.completion_bound = bound
+        if "objects" in doc:
+            _check_plus_objects(theory, doc["objects"], bound)
     theory.source_doc = doc
     return theory
+
+
+def _check_plus_objects(theory, objects, bound):
+    """A ``plus`` document's ``objects`` list must name the probe objects of
+    its completion at its ``bound``, as :func:`serialize_theory` writes it."""
+    if not (isinstance(objects, list)
+            and all(isinstance(o, str) for o in objects)):
+        raise TheoryFileError(
+            f"objects must be a list of strings, got {objects!r}", "objects")
+    if bound is None:
+        raise TheoryFileError("objects needs a bound", "objects")
+    want = [theory.object_str(o) for o in theory.probe_objects(bound)]
+    if objects != want:
+        raise TheoryFileError(
+            f"objects are not the {len(want)} probe objects at bound {bound}",
+            "objects")
 
 
 def load_theory(path, grid=None):

@@ -245,6 +245,39 @@ def test_plus_bound_outside_the_schema_is_an_input_error(tmp_path, capsys,
     assert "(at bound)" in capsys.readouterr().err
 
 
+def _plus_pfun(**keys):
+    return dict({"format": "optheory/1", "kind": "plus",
+                 "base": serialize_theory(PFunTheory())}, **keys)
+
+
+@pytest.mark.parametrize("doc,in_schema", [
+    (_plus_pfun(bound=1, objects=5), False),
+    (_plus_pfun(bound=1, objects=["<>", 1]), False),
+    (_plus_pfun(objects=["<>"]), True),
+    (_plus_pfun(bound=1, objects=["<>"]), True),
+    (_plus_pfun(bound=1, objects=["<>", "<{'x1'}>", "<{'x2'}>"]), True),
+], ids=["not-a-list", "not-strings", "no-bound", "too-few", "too-many"])
+def test_plus_objects_that_are_not_the_bounds_probe_objects_are_rejected(
+        doc, in_schema):
+    if not in_schema:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, THEORY_SCHEMA)
+    with pytest.raises(TheoryFileError) as exc:
+        parse_doc(doc)
+    assert location_of(exc) == "objects"
+
+
+@pytest.mark.parametrize("base", [PFunTheory(), SubStochTheory(grid=1)],
+                         ids=["pfun", "substoch"])
+def test_plus_objects_survive_a_save_and_load(tmp_path, base):
+    path = tmp_path / "plus.theory"
+    doc = save_theory(PlusTheory(base), path, bound=2)
+    assert len(doc["objects"]) > 1
+    theory = load_theory(path)
+    assert theory.completion_bound == 2
+    assert serialize_theory(theory) == doc
+
+
 @pytest.mark.parametrize("doc,key", [
     ({"format": "optheory/1", "kind": "builtin", "name": "pfun", "grid": 3},
      "grid"),
