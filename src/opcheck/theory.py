@@ -4,9 +4,10 @@ A :class:`Theory` is a category of events with finite coproducts, a zero
 object and a family of discarding effects (one per object), together with
 the structure every derived operation is built from: cotupling, a pairing
 procedure deciding which event families merge into one, and optionally a
-tensor and a probe basis (:meth:`Theory.probe_basis`: finite states and
-effects that decide operational equivalence as all of them do).  Objects are plain hashable values whose shape is documented per
-instance; morphisms are :class:`Morphism` records tagged with their theory.
+tensor and a probe basis (:meth:`Theory.probe_basis`: finitely many states
+and effects that decide operational equivalence as all of them do).
+Objects are plain hashable values whose shape is documented per instance;
+morphisms are :class:`Morphism` records tagged with their theory.
 
 All values are immutable after construction and every operation is a pure
 function, so theories may be shared freely between workers.  The

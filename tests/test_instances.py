@@ -649,7 +649,8 @@ def test_probe_basis_groups_events_as_every_probe_does(name, monoidal):
     ancillas = [None]
     if monoidal:
         ancillas += [c for c in th.probe_objects(2) if th.object_size(c) >= 1]
-    for a in {th.tensor_obj(a, c) if c else a for a in probes for c in ancillas}:
+    for a in {a if c is None else th.tensor_obj(a, c)
+              for a in probes for c in ancillas}:
         states, effects = th.probe_basis(a)
         assert len(states) == len(effects) == th.object_size(a)
         assert all(w in th.enumerate_hom(unit, a) for w in states)
@@ -668,7 +669,3 @@ def test_probe_basis_groups_events_as_every_probe_does(name, monoidal):
                                      th.enumerate_hom(cod, unit)) for f in fs]
             for i, j in product(range(len(fs)), repeat=2):
                 assert (by_basis[i] == by_basis[j]) == (by_all[i] == by_all[j])
-
-
-def test_cpsu_has_no_probe_basis():
-    assert CpsuTheory().probe_basis((2,)) is None
