@@ -218,8 +218,12 @@ class MatrixTheory(SemiringMatrices):
         return len(self._valid_rows(b)) ** a
 
     def _homset(self, a, b, cap):
-        return (self._m(a, b, rows)
-                for rows in product(self._valid_rows(b), repeat=a))
+        # each event stacks the forms of its rows, made once per valid row;
+        # its payload is built from its form when first read
+        s = self.semiring
+        forms = [s.form((row,)) for row in self._valid_rows(b)]
+        return (MatrixEvent(self, a, b, s.stack(rows))
+                for rows in product(forms, repeat=a))
 
     def sample_hom(self, a, b, rng):
         rows = self._valid_rows(b)

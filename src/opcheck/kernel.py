@@ -378,34 +378,48 @@ def rational_product(f_form, g_form, width):
     forms.
 
     The integer product has denominator ``d``, the product of the factors'
-    denominators.  A result numerator ``n`` is in the carrier iff
-    ``n >= 0`` and has a complement iff ``n <= d``; a row has a complement
-    iff its numerators sum to at most ``d``.  These are the checks of
-    :func:`check_event`, in the same order, so both raise the same
-    violation.  The result is reduced by :func:`reduced_form`.
+    denominators.  A row of the first factor that is over 1 and holds one
+    1 and zeros, or only zeros (a row of a coprojection, an identity or a
+    point state), selects a row of the second factor or the zero row; any
+    other row is multiplied out.  A result numerator ``n`` is in the
+    carrier iff ``n >= 0`` and has a complement iff ``n <= d``; a row has
+    a complement iff its numerators sum to at most ``d``.  These are the
+    checks of :func:`check_event`, in the same order, so both raise the
+    same violation.  The result is reduced by :func:`reduced_form`.
     """
     fn, fd = f_form
     gn, gd = g_form
     d = fd * gd
+    zero = (0,) * width
     accs = []
     for i, frow in enumerate(fn):
-        acc = [0] * width
-        for x, grow in zip(frow, gn):
-            if x:
-                for k, y in enumerate(grow):
-                    if y:
-                        acc[k] += x * y
-        total = 0
-        for k, n in enumerate(acc):
-            if n < 0:
-                raise EventViolation("carrier", i, k, Fraction(n, d))
-            if n > d:
-                raise EventViolation("complement", i, k, Fraction(n, d))
-            total += n
-        if total > d:
-            raise EventViolation("row", i, None, Fraction(total, d))
-        accs.append(tuple(acc))
+        if fd == 1 and sum(frow) <= 1 and (not frow or min(frow) >= 0):
+            acc = gn[frow.index(1)] if 1 in frow else zero
+        else:
+            acc = [0] * width
+            for x, grow in zip(frow, gn):
+                if x:
+                    for k, y in enumerate(grow):
+                        if y:
+                            acc[k] += x * y
+            acc = tuple(acc)
+        if acc and (min(acc) < 0 or sum(acc) > d):
+            _raise_first_violation(i, acc, d)
+        accs.append(acc)
     return reduced_form(tuple(accs), d)
+
+
+def _raise_first_violation(i, acc, d):
+    """Raise the :class:`EventViolation` of the first bad numerator of row
+    ``i``, ``acc`` over ``d``, or else of its sum."""
+    total = 0
+    for k, n in enumerate(acc):
+        if n < 0:
+            raise EventViolation("carrier", i, k, Fraction(n, d))
+        if n > d:
+            raise EventViolation("complement", i, k, Fraction(n, d))
+        total += n
+    raise EventViolation("row", i, None, Fraction(total, d))
 
 
 def _over_lcm(forms):

@@ -25,6 +25,7 @@ from opcheck.instances import (
     PFunTheory,
     SubStochTheory,
 )
+from opcheck.instances.matrix import MatrixEvent
 from opcheck.kernel import BOOLEANS, INTEGERS
 from opcheck.theory import Morphism, Theory
 from opcheck.theoryfile import load_theory
@@ -408,7 +409,69 @@ class _HalvesTensorToZero(SubStochTheory):
         return super().tensor(f, g)
 
 
+class _SwapsOneCotuple(SubStochTheory):
+    """Cotuples the legs [1] and [0] : 1 -> 1 the other way round, so that
+    cotuple does not give back its first leg (coproducts, Sec. 3.1)."""
+
+    def cotuple(self, summands, fs):
+        if summands == (1, 1) and _is(fs[0], 1, 1, ((1,),)) \
+                and _is(fs[1], 1, 1, ((0,),)):
+            fs = fs[::-1]
+        return super().cotuple(summands, fs)
+
+
+class _Tagged(MatrixEvent):
+    """A copy of a matrix event that carries a tag."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, f):
+        super().__init__(f.theory, f.dom, f.cod, f.form)
+        self.tag = "copy"
+
+    def __repr__(self):
+        return f"{super().__repr__()} tagged {self.tag}"
+
+
+def _tag(f):
+    return getattr(f, "tag", None)
+
+
+class _CotuplesTwice(SubStochTheory):
+    """Enumerates each hom(A + B, C) twice, the second time as tagged
+    copies.  Equality and keys see the tag and composition ignores it, so
+    an event and its copy have the same legs (coproduct uniqueness)."""
+
+    def _homset(self, a, b, cap):
+        hs = tuple(super()._homset(a, b, cap))
+        return hs if a < 2 else hs + tuple(_Tagged(f) for f in hs)
+
+    def equal(self, f, g, tol=None):
+        return super().equal(f, g) and _tag(f) == _tag(g)
+
+    def payload_key(self, f):
+        return f.form, _tag(f)
+
+
 MUTANTS = {
+    "coproduct-universal/existence": (_SwapsOneCotuple(grid=1), {
+        "equation": "[f, g] . k1 = f",
+        "parts": {
+            "f": "Morphism(substoch: 1 -> 1, ((Fraction(1, 1),),))",
+            "g": "Morphism(substoch: 1 -> 1, ((Fraction(0, 1),),))",
+        },
+        "lhs": "Morphism(substoch: 1 -> 1, ((Fraction(0, 1),),))",
+        "rhs": "Morphism(substoch: 1 -> 1, ((Fraction(1, 1),),))",
+    }),
+    "coproduct-universal/uniqueness": (_CotuplesTwice(grid=1), {
+        "equation": "the cotupling is unique",
+        "parts": {
+            "h1": "Morphism(substoch: 2 -> 0, ((), ()))",
+            "h2": "Morphism(substoch: 2 -> 0, ((), ())) tagged copy",
+        },
+        "lhs": "Morphism(substoch: 2 -> 0, ((), ()))",
+        "rhs": "Morphism(substoch: 2 -> 0, ((), ())) tagged copy",
+    }),
     "axiom-combining": (_RefusesOnePairing(grid=1), {
         "equation": "complementary normalizations admit a joint test",
         "parts": {
@@ -462,7 +525,8 @@ MUTANTS = {
 @pytest.mark.parametrize("check_id", sorted(MUTANTS))
 def test_a_mutant_fails_its_check_with_the_recorded_witness(check_id):
     mutant, witness = MUTANTS[check_id]
-    result = run_check(mutant, ProbeConfig(bound=2, seed=7), check_id)
+    result = run_check(mutant, ProbeConfig(bound=2, seed=7),
+                       check_id.split("/")[0])
     assert result.verdict == "fails"
     assert result.witness.replay()
     assert result.witness.to_json() == witness
@@ -817,3 +881,50 @@ def test_coproduct_universal_counts_each_pair_and_each_cotuple_once():
     result = run_check(sub, ProbeConfig(bound=2), "coproduct-universal")
     assert result.verdict == "holds-exhaustive"
     assert result.instances == want
+
+
+def _count_composites(monkeypatch, cls):
+    """Count the calls of ``cls._compose``; returns the list of calls."""
+    calls = []
+    compose = cls._compose
+
+    def counted(self, g, f):
+        calls.append((g, f))
+        return compose(self, g, f)
+    monkeypatch.setattr(cls, "_compose", counted)
+    return calls
+
+
+def test_coproduct_universal_composes_the_legs_of_each_cotuple_once(
+        monkeypatch):
+    # an exact theory reads the legs of each h out of A + B that the
+    # existence half has cotupled from the keys it checked there
+    sub = SubStochTheory(grid=2)
+    size = lambda a, b: len(sub.enumerate_hom(a, b))
+    pairs = sum(size(a, c) * size(b, c)
+                for a in (1, 2) for b in (1, 2) for c in (0, 1, 2))
+    calls = _count_composites(monkeypatch, SubStochTheory)
+    result = run_check(sub, ProbeConfig(bound=2), "coproduct-universal")
+    assert result.verdict == "holds-exhaustive"
+    assert len(calls) == 2 * pairs
+
+
+def test_coproduct_universal_composes_every_cotuple_of_a_numeric_theory(
+        monkeypatch):
+    # keys within a tolerance are not exact, so the uniqueness scan
+    # composes each h out of A + B: 2 per pair of legs plus 2 per h
+    calls = _count_composites(monkeypatch, CpsuTheory)
+    result = run_check(CpsuTheory(), ProbeConfig(bound=2, samples=3),
+                       "coproduct-universal")
+    assert result.verdict == "holds-sampled(432)"
+    assert len(calls) == 2 * result.instances
+
+
+def test_a_non_unique_cotupling_replays_by_composing_both_legs_again(
+        monkeypatch):
+    result = run_check(_CotuplesTwice(grid=1), ProbeConfig(bound=2, seed=7),
+                       "coproduct-universal")
+    assert result.witness.equation == "the cotupling is unique"
+    calls = _count_composites(monkeypatch, SubStochTheory)
+    assert result.witness.replay()
+    assert len(calls) == 4

@@ -435,6 +435,53 @@ def test_rational_product_rejects_like_the_fraction_reference(case):
         assert fast[1] is EventViolation
 
 
+@st.composite
+def _selections(draw):
+    """A 0/1 left factor with at most one 1 per row (an identity, a
+    coprojection, a point state or a partial function, zero rows allowed)
+    and a right factor of arbitrary rationals in [-1, 2]."""
+    m, p = (draw(st.integers(min_value=0, max_value=3)) for _ in range(2))
+    kind = draw(st.sampled_from(("identity", "coprojection", "point",
+                                 "partial")))
+    if kind == "identity":
+        picks = list(range(m))
+    elif kind == "coprojection":
+        n = draw(st.integers(min_value=0, max_value=m))
+        offset = draw(st.integers(min_value=0, max_value=m - n))
+        picks = [offset + i for i in range(n)]
+    else:
+        index = st.integers(min_value=0, max_value=m - 1) if m else st.none()
+        picks = draw(st.lists(st.one_of(st.none(), index),
+                              min_size=int(kind == "point"),
+                              max_size=1 if kind == "point" else 3))
+    f = tuple(tuple(Fraction(int(j == pick)) for j in range(m))
+              for pick in picks)
+    g = tuple(tuple(draw(_any_rational) for _ in range(p)) for _ in range(m))
+    return f, g, p
+
+
+def _form_or_violation(fn):
+    try:
+        return fn()
+    except EventViolation as bad:
+        return bad.kind, bad.row, bad.col, bad.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_selections())
+def test_selected_rows_match_the_fraction_reference(case):
+    """A 0/1 left factor selects rows of the right one; the product is
+    the reference's form, or the same violation at the same place."""
+    f, g, p = case
+    form = rational_form(f)
+    assert form[1] == 1
+    fast = _form_or_violation(
+        lambda: rational_product(form, rational_form(g), p))
+    want = _form_or_violation(
+        lambda: rational_form(semiring_product(RATIONALS01, f, g, p)))
+    assert fast == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rational_pairs())
 def test_substoch_compose_keeps_the_validate_event_diagnostics(case):

@@ -1,8 +1,9 @@
 """The sources themselves: every module compiles without a warning, no
 module under the package or the tests imports a name it never uses, only
 the quantum theories import numpy when the package is loaded, homsets are
-enumerated and kept in one place, and checks end at their first
-counterexample by raising, not by a ``return`` written by hand.
+enumerated and kept in one place, checks end at their first
+counterexample by raising, not by a ``return`` written by hand, and the
+failures that give no replayable witness do not grow in number.
 
 ``compile`` reads the source afresh, so an invalid escape sequence or a
 similar slip is caught even where a cached ``.pyc`` would hide it.
@@ -148,3 +149,17 @@ def test_checks_end_at_a_counterexample_by_raising():
                       and isinstance(after, ast.Return)]
     assert _run_calls(tree, "check_eq") and fails
     assert not found, found
+
+
+# The failures that give no replay; a witness should replay, so this
+# number may fall and must not rise.
+FAILS_WITHOUT_REPLAY = 24
+
+
+def test_failures_without_a_replay_do_not_grow():
+    tree = ast.parse((PACKAGE / "checker.py").read_text(encoding="utf-8"))
+    fails = _run_calls(tree, "fail")
+    bare = [call.lineno for call in fails
+            if not any(k.arg == "replay" for k in call.keywords)]
+    assert fails
+    assert len(bare) <= FAILS_WITHOUT_REPLAY, bare
