@@ -82,6 +82,11 @@ instance per tuple of their quantifiers (before, a comparison made with
 ``check_eq`` after a tick of its own counted twice): only instance counts,
 and the ``n`` of ``holds-sampled(n)``, moved; every verdict kind, witness,
 note, skipped list and flag stayed.
+
+``quotient_mat_int_monoidal.json`` and ``quotient_mat_bool_monoidal.json``
+(the ``quotient`` command above on ``mat_int`` and ``mat_bool`` with
+``--monoidal``) were recorded before the quotient came to leave out the
+ancillas on which the base's probe basis is a product basis.
 """
 
 import json
@@ -143,6 +148,10 @@ GOLDENS = {
         lambda c: _quotient_cli(c, "pfun", "--monoidal"),
     "quotient_substoch_monoidal.json":
         lambda c: _quotient_cli(c, "substoch", "--monoidal"),
+    "quotient_mat_int_monoidal.json":
+        lambda c: _quotient_cli(c, "mat_int", "--monoidal"),
+    "quotient_mat_bool_monoidal.json":
+        lambda c: _quotient_cli(c, "mat_bool", "--monoidal"),
     "classify_quotient_substoch_grid1.json": _classify_quotient(1),
     "classify_quotient_substoch_grid2.json": _classify_quotient(2),
     "classify_mat_bool.json": lambda c: _classify_cli(c, "mat_bool"),
