@@ -434,6 +434,16 @@ class QuotientTheory(_OnBaseObjects):
     its value depends on the probe set; only which events share one is
     fixed.
 
+    Ancillas are chosen per homset.  ``hom(a, b)`` leaves out ancilla ``c``
+    when, on an exact base (``tol`` None), the basis states of ``a x c``
+    are the tensors ``w x v`` of the basis states of ``a`` and of ``c``,
+    and the basis effects of ``b x c`` the tensors ``e x u`` of those of
+    ``b`` and of ``c``, compared by exact key up to the unitor of the unit.
+    Each outcome of ``f x id_c`` is then ``(e . f . w) x (u . v)``, fixed
+    by ``f``'s outcomes without the ancilla, so ``c`` cannot split a class
+    (local discriminability).  This holds for the matrix theories and for
+    partial functions; the other shipped bases keep all their ancillas.
+
     Each base event is signed once: signatures, and the effect rows they are
     built from, are memoised under the event's exact key (the base's
     ``morphism_key``), and each probe homset is partitioned into classes
@@ -457,6 +467,8 @@ class QuotientTheory(_OnBaseObjects):
         self._signatures = {}  # exact key of an event -> its signature
         self._rows = {}        # exact key of probe . state -> effect outcomes
         self._partitions = {}  # (a, b) -> classes of the base's hom(a, b)
+        self._products = {}    # (object, ancilla, half) -> product basis?
+        self._ancilla_lists = {}  # (a, b) -> the ancillas of hom(a, b)
 
     # -- probes ------------------------------------------------------------
     def _hom_probe(self, a, b, tag):
@@ -478,15 +490,54 @@ class QuotientTheory(_OnBaseObjects):
             self._probe_cache[key] = out
         return self._probe_cache[key]
 
-    def _ancillas(self):
+    def _ancillas(self, a, b):
+        """The ancillas that probe ``hom(a, b)``, None standing for none:
+        in monoidal mode each object of size 1 to :data:`ANCILLA_BOUND`
+        save those on which the base's basis is a product basis at both
+        ends of the homset; decided once per homset."""
         if not self.monoidal_probes:
             return [None]
-        base = self.base
-        out = [None]
-        for c in base.probe_objects(ANCILLA_BOUND):
-            if 1 <= base.object_size(c):
-                out.append(c)
+        out = self._ancilla_lists.get((a, b))
+        if out is None:
+            base = self.base
+            out = self._ancilla_lists[a, b] = [None] + [
+                c for c in base.probe_objects(ANCILLA_BOUND)
+                if 1 <= base.object_size(c)
+                and not (self._product_basis(a, c, "state")
+                         and self._product_basis(b, c, "effect"))]
         return out
+
+    def _product_basis(self, x, c, half):
+        """Whether the ``half`` ("state" or "effect") of the base's basis of
+        ``x x c`` is the tensors of the halves of the bases of ``x`` and
+        of ``c``; decided once per ``(x, c, half)``."""
+        key = (x, c, half)
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = self._decide_product(x, c, half)
+        return out
+
+    def _decide_product(self, x, c, half):
+        base = self.base
+        # a tensor of two states goes out of unit x unit, of two effects
+        # into it; the unitor of the unit matches it with the unit
+        lam = base.unitor_left(base.unit())
+        if base.tol is not None or base.morphism_key(lam) is None:
+            return False
+        bases = [base.probe_basis(o) for o in (x, c, base.tensor_obj(x, c))]
+        if None in bases:
+            return False
+        xs, cs, xcs = (p[half == "effect"] for p in bases)
+        if half == "state":
+            whole = [base.compose(s, lam) for s in xcs]
+            tensors = [base.tensor(w, v) for w in xs for v in cs]
+        else:
+            whole = xcs
+            tensors = [base.compose(lam, base.tensor(e, u))
+                       for e in xs for u in cs]
+        keys = {base.morphism_key(f) for f in whole}
+        return None not in keys and keys == {
+            base.morphism_key(f) for f in tensors}
 
     def _memo(self, memo, f, compute):
         key = self.base.morphism_key(f)
@@ -502,10 +553,13 @@ class QuotientTheory(_OnBaseObjects):
         return self._memo(self._signatures, f, self._sign)
 
     def _sign(self, f):
+        """The outcomes of ``f`` on the probes of its homset, then of
+        ``f x id_c`` on those of ``dom x c`` and ``cod x c`` for each
+        ancilla ``c`` that :meth:`_ancillas` keeps for the homset."""
         base = self.base
         unit = base.unit()
         out = []
-        for c in self._ancillas():
+        for c in self._ancillas(f.dom, f.cod):
             if c is None:
                 dom, probe = f.dom, f
             else:

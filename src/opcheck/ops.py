@@ -124,11 +124,19 @@ def total_extension(f):
     return h
 
 
+def merge_pairing(h, cod, n=2):
+    """The merge of ``n`` events into ``cod`` whose pairing is ``h``: the
+    codiagonal after the pairing.  A caller that has just decided the
+    pairing merges it here instead of deciding it again."""
+    th = h.theory
+    return th.compose(codiagonal(th, n, cod), h)
+
+
 def coarse_grain(f, g):
     """Merge two compatible parallel events into one.
 
-    Defined as the codiagonal after the pairing; :class:`Incompatible` when
-    no pairing exists.
+    Decides their pairing and merges it (:func:`merge_pairing`);
+    :class:`Incompatible` when no pairing exists.
     """
     th = f.theory
     if f.dom != g.dom or f.cod != g.cod:
@@ -137,7 +145,7 @@ def coarse_grain(f, g):
     if h is None:
         raise Incompatible(
             f"events {th.object_str(f.dom)} -> {th.object_str(f.cod)} admit no pairing")
-    return th.compose(codiagonal(th, 2, f.cod), h)
+    return merge_pairing(h, f.cod)
 
 
 def coarse_grain_all(theory, dom, cod, events):
@@ -150,7 +158,7 @@ def coarse_grain_all(theory, dom, cod, events):
     h = theory.try_pairing(events)
     if h is None:
         raise Incompatible("family admits no pairing")
-    return theory.compose(codiagonal(theory, len(events), cod), h)
+    return merge_pairing(h, cod, len(events))
 
 
 def pairing(events):

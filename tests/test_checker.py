@@ -367,6 +367,17 @@ class _RefusesOnePairing(SubStochTheory):
         return super().try_pairing(events)
 
 
+class _RefusesOneZeroMerge(SubStochTheory):
+    """Refuses to pair the event [1, 0] : 1 -> 2 with the zero event 1 -> 2,
+    so that not every event merges with zero (Assumption 4)."""
+
+    def try_pairing(self, events):
+        if len(events) == 2 and _is(events[0], 1, 2, ((1, 0),)) \
+                and _is(events[1], 1, 2, ((0, 0),)):
+            return None
+        return super().try_pairing(events)
+
+
 class _RefusesOneObservation(SubStochTheory):
     """Refuses to merge discarding with the zero effect on the trivial
     object, though events with those observations pair (Axiom 2)."""
@@ -479,6 +490,14 @@ MUTANTS = {
             "g": "Morphism(substoch: 1 -> 1, ((Fraction(0, 1),),))",
         },
         "lhs": "discard",
+        "rhs": "no pairing",
+    }),
+    "assumption4-zero": (_RefusesOneZeroMerge(grid=1), {
+        "equation": "f and 0 always merge",
+        "parts": {
+            "f": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
+        },
+        "lhs": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
         "rhs": "no pairing",
     }),
     "axiom-observations": (_RefusesOneObservation(grid=1), {
@@ -928,3 +947,21 @@ def test_a_non_unique_cotupling_replays_by_composing_both_legs_again(
     calls = _count_composites(monkeypatch, SubStochTheory)
     assert result.witness.replay()
     assert len(calls) == 4
+
+
+def test_zero_laws_decide_each_pairing_with_zero_once(monkeypatch):
+    # "f v 0 = f" merges the pairing that "f and 0 always merge" has just
+    # decided, so each event is paired with zero once
+    sub = SubStochTheory(grid=1)
+    events = sum(len(sub.enumerate_hom(a, b))
+                 for a in range(3) for b in range(3))
+    calls = []
+    pair = SubStochTheory.try_pairing
+
+    def counted(self, fs):
+        calls.append(fs)
+        return pair(self, fs)
+    monkeypatch.setattr(SubStochTheory, "try_pairing", counted)
+    result = run_check(sub, ProbeConfig(bound=2), "assumption4-zero")
+    assert result.verdict == "holds-exhaustive"
+    assert len(calls) == events

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -273,14 +274,40 @@ def _reference_classes(q, a, b):
     return list(groups.values())
 
 
-@pytest.fixture(params=["substoch", "substoch-monoidal", "pfun", "stateless"])
+class _SkewedBasis(SubStochTheory):
+    """Mixes the last point state and point effect of each object of size 2
+    or more with the first: still a probe basis, but the basis of 2 x 2 is
+    not the tensors of the bases of 2."""
+
+    def probe_basis(self, a):
+        states, effects = super().probe_basis(a)
+        if a < 2:
+            return states, effects
+        mix = ["1/2"] + ["0"] * (a - 2) + ["1/2"]
+        return (states[:-1] + [ev(self, 1, a, [mix])],
+                effects[:-1] + [ev(self, a, 1, [[x] for x in mix])])
+
+
+class _Keyless(SubStochTheory):
+    """Substochastic matrices whose events have no exact key."""
+
+    def payload_key(self, f):
+        raise NotEnumerable("no exact key")
+
+
+@pytest.fixture(params=["substoch", "substoch-monoidal", "pfun",
+                        "pfun-monoidal", "mat_int-monoidal", "skewed-monoidal",
+                        "stateless"])
 def memo_quotient(request):
-    if request.param == "pfun":
+    name = request.param.removesuffix("-monoidal")
+    if name == "pfun":
         base = PFunTheory()
-    elif request.param == "stateless":
-        base = load_theory(FIXTURES / "stateless.theory")
-    else:
+    elif name == "substoch":
         base = SubStochTheory(grid=2)
+    elif name == "skewed":
+        base = _SkewedBasis(grid=2)
+    else:
+        base = load_theory(FIXTURES / f"{name}.theory")
     return quotient(base, bound=2, monoidal=request.param.endswith("monoidal"))
 
 
@@ -338,6 +365,23 @@ def test_quotient_without_exact_keys_is_signed_afresh():
     first = q.signature(f.payload)
     assert first and q.signature(f.payload) == first
     assert not q._signatures and not q._rows and not q._partitions
+
+
+def test_a_basis_that_is_no_product_basis_keeps_its_ancillas():
+    q = quotient(_SkewedBasis(grid=2), bound=2, monoidal=True)
+    for a, b in product(range(3), repeat=2):
+        assert q._ancillas(a, b) == ([None, 2] if 2 in (a, b) else [None])
+
+
+@pytest.mark.parametrize("make", [lambda: _Keyless(grid=2), CpsuTheory],
+                         ids=["keyless-substoch", "cpsu"])
+def test_a_base_without_exact_keys_keeps_every_ancilla(make):
+    base = make()
+    q = quotient(base, bound=2, samples=3, monoidal=True)
+    ancillas = [None] + [c for c in base.probe_objects(ANCILLA_BOUND)
+                         if base.object_size(c) >= 1]
+    for a, b in product(base.probe_objects(2), repeat=2):
+        assert q._ancillas(a, b) == ancillas
 
 
 # -- round trip through the total part --------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from opcheck import ops
 from opcheck.blocks import BlockMatrices
+from opcheck.constructions import quotient
 from opcheck.errors import (
     BoundExceeded,
     ChoiNotPositive,
@@ -669,3 +670,24 @@ def test_probe_basis_groups_events_as_every_probe_does(name, monoidal):
                                      th.enumerate_hom(cod, unit)) for f in fs]
             for i, j in product(range(len(fs)), repeat=2):
                 assert (by_basis[i] == by_basis[j]) == (by_all[i] == by_all[j])
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_THEORIES))
+def test_probe_basis_of_a_tensor_is_the_product_basis(name):
+    # the basis of a x c is the tensors of the bases of a and of c, up to
+    # the unitor of the unit, for each probe object a and ancilla c, so a
+    # monoidal quotient of the theory probes with no ancilla at all
+    th = BASIS_THEORIES[name]()
+    lam = th.unitor_left(th.unit())
+    ancillas = [c for c in th.probe_objects(2) if th.object_size(c) >= 1]
+    for a, c in product(th.probe_objects(2), ancillas):
+        (ws, es), (vs, us) = th.probe_basis(a), th.probe_basis(c)
+        states, effects = th.probe_basis(th.tensor_obj(a, c))
+        assert ({th.morphism_key(th.compose(s, lam)) for s in states}
+                == {th.morphism_key(th.tensor(w, v)) for w in ws for v in vs})
+        assert ({th.morphism_key(e) for e in effects}
+                == {th.morphism_key(th.compose(lam, th.tensor(e, u)))
+                    for e in es for u in us})
+    q = quotient(th, monoidal=True)
+    for a, b in product(th.probe_objects(2), repeat=2):
+        assert q._ancillas(a, b) == [None]
