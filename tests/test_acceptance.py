@@ -76,7 +76,10 @@ def test_01_mat_int_negative_fixture():
 
 def test_02_pfun_positive_fixture(pfun_report):
     report, elapsed = pfun_report
-    assert elapsed < 60.0
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    golden = FIXTURES.parent / "golden" / "classify_pfun_bound3.json"
+    assert text == golden.read_text()
+    assert elapsed < 10.0, f"classification took {elapsed:.1f}s"
     assert report.flags["effectus"] is True
     for cid in DEF_CONDITIONS:
         assert report.result(cid).verdict == "holds-exhaustive", cid

@@ -83,6 +83,13 @@ instance per tuple of their quantifiers (before, a comparison made with
 and the ``n`` of ``holds-sampled(n)``, moved; every verdict kind, witness,
 note, skipped list and flag stayed.
 
+``classify_pfun_bound3.json`` is the report of
+``classify(PFunTheory(), ProbeConfig(bound=3, samples=40))``, recorded
+while partial functions were still an instance of their own, before they
+came to be the sub-unit matrices over the naturals.  The ``pfun_report``
+fixture of ``test_acceptance.py`` builds it, so
+``test_02_pfun_positive_fixture`` compares it there.
+
 ``quotient_mat_int_monoidal.json`` and ``quotient_mat_bool_monoidal.json``
 (the ``quotient`` command above on ``mat_int`` and ``mat_bool`` with
 ``--monoidal``) were recorded before the quotient came to leave out the
