@@ -589,7 +589,17 @@ def check_cancellativity(run):
                 e1, e2 = clash
                 run.fail("e1 v e3 = e2 v e3 implies e1 = e2",
                          {"e1": e1, "e2": e2, "e3": e3},
-                         repr(merges[id(e1)]), repr(merges[id(e2)]))
+                         repr(merges[id(e1)]), repr(merges[id(e2)]),
+                         replay=lambda: _merges_agree(run, e1, e2, e3))
+
+
+def _merges_agree(run, e1, e2, e3):
+    """Whether ``e1`` and ``e2`` differ, each pairs with ``e3``, and the two
+    merges are equal."""
+    th = run.theory
+    hs = [th.try_pairing([e, e3]) for e in (e1, e2)]
+    return (not th.equal(e1, e2) and None not in hs
+            and len({run.key(ops.merge_pairing(h, th.unit())) for h in hs}) == 1)
 
 
 def check_discard_tensor(run):
@@ -647,6 +657,14 @@ def check_c2_joint_monic(run):
                          repr(th.compose(projs[0], g)))
 
 
+def _extension_not_canonical(f):
+    """Whether the observation of ``f`` has several complements, or one that
+    does not pair with ``f``."""
+    th = f.theory
+    cs = th.effect_complements(ops.observation(f))
+    return len(cs) > 1 or (len(cs) == 1 and th.try_pairing([f, cs[0]]) is None)
+
+
 def check_c3_total_extension(run):
     th = run.theory
     unit = th.unit()
@@ -662,7 +680,8 @@ def check_c3_total_extension(run):
                          not th.effect_complements(ops.observation(f)))
             except (NonUniqueComplement, NotAPartialTest) as exc:
                 run.fail("the total extension is canonical", {"f": f},
-                         repr(f), str(exc))
+                         repr(f), str(exc),
+                         replay=lambda: _extension_not_canonical(f))
             if not ops.is_total(ext):
                 run.fail("the extension is total", {"f": f}, repr(ext), "total")
             run.check_eq(th.compose(proj, ext), f,
@@ -809,7 +828,10 @@ def check_def31_c1(run):
             if clash:
                 g, f = clash
                 run.fail("the lifted projections are jointly monic",
-                         {"f": f, "g": g}, repr(f), repr(g))
+                         {"f": f, "g": g}, repr(f), repr(g),
+                         replay=lambda: not th.equal(f, g) and all(
+                             run.key(th.compose(m, f))
+                             == run.key(th.compose(m, g)) for m in maps))
 
 
 def check_def31_c2(run):
@@ -976,7 +998,10 @@ def check_iso_total(run):
                 if not ops.is_total(f):
                     run.fail("every isomorphism is total", {"f": f, "g": g},
                              repr(ops.observation(f)),
-                             repr(th.discard(a)))
+                             repr(th.discard(a)), replay=lambda:
+                             th.equal(th.compose(g, f), ida)
+                             and th.equal(th.compose(f, g), idb)
+                             and not ops.is_total(f))
 
 
 def check_zero_strict(run):
@@ -1025,7 +1050,10 @@ def check_separation(run):
         if clash:
             g, f = clash
             run.fail("probes separate parallel events",
-                     {"f": f, "g": g}, repr(f), repr(g))
+                     {"f": f, "g": g}, repr(f), repr(g),
+                     replay=lambda: not th.equal(f, g)
+                     and th.outcome_key(f, states, effects)
+                     == th.outcome_key(g, states, effects))
 
 
 # ---------------------------------------------------------------------------

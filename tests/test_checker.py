@@ -68,6 +68,17 @@ def test_boolean_matrices_fail_exactly_where_expected():
     assert report.flags["effectus"] == "inconclusive"
 
 
+@pytest.mark.parametrize("name", ["mat_bool", "mat_int", "stateless"])
+def test_every_failure_of_a_shipped_fixture_replays(name):
+    report = classify(load_theory(FIXTURES / f"{name}.theory"),
+                      ProbeConfig(bound=2, seed=7))
+    failing = [r for r in report.results if r.status == "fails"]
+    assert failing
+    for r in failing:
+        assert r.witness._replay is not None, r.witness.equation
+        assert r.witness.replay(), r.witness.equation
+
+
 def test_failure_witness_replays():
     cfg = ProbeConfig(bound=2, samples=20, cap=1000)
     report = classify(MatrixTheory(INTEGERS, grid=1), cfg)

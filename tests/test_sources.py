@@ -153,7 +153,7 @@ def test_checks_end_at_a_counterexample_by_raising():
 
 # The failures that give no replay; a witness should replay, so this
 # number may fall and must not rise.
-FAILS_WITHOUT_REPLAY = 19
+FAILS_WITHOUT_REPLAY = 14
 
 
 def test_failures_without_a_replay_do_not_grow():
