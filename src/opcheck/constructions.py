@@ -427,7 +427,7 @@ class QuotientTheory(_OnBaseObjects):
 
     The states into an object and the effects out of it are the base's
     :meth:`~opcheck.theory.Theory.probe_basis` of that object when it has
-    one (matrices and partial functions do), which groups events as every
+    one (the matrix theories do), which groups events as every
     state and effect would; otherwise they are its enumerated homsets, or
     ``samples`` seeded draws where a homset cannot be enumerated within
     ``cap``.  A signature is the tuple of outcomes over these probes, so
@@ -438,11 +438,13 @@ class QuotientTheory(_OnBaseObjects):
     when, on an exact base (``tol`` None), the basis states of ``a x c``
     are the tensors ``w x v`` of the basis states of ``a`` and of ``c``,
     and the basis effects of ``b x c`` the tensors ``e x u`` of those of
-    ``b`` and of ``c``, compared by exact key up to the unitor of the unit.
+    ``b`` and of ``c``, compared by exact key.
     Each outcome of ``f x id_c`` is then ``(e . f . w) x (u . v)``, fixed
     by ``f``'s outcomes without the ancilla, so ``c`` cannot split a class
-    (local discriminability).  This holds for the matrix theories and for
-    partial functions; the other shipped bases keep all their ancillas.
+    (local discriminability).  This holds for the matrix theories, partial
+    functions among them; the other shipped bases keep all their ancillas.
+    A base whose unit is not strict keeps them too, since a tensor of two
+    states goes out of ``unit x unit`` and so has another key.
 
     Each base event is signed once: signatures, and the effect rows they are
     built from, are memoised under the event's exact key (the base's
@@ -519,25 +521,17 @@ class QuotientTheory(_OnBaseObjects):
 
     def _decide_product(self, x, c, half):
         base = self.base
-        # a tensor of two states goes out of unit x unit, of two effects
-        # into it; the unitor of the unit matches it with the unit
-        lam = base.unitor_left(base.unit())
-        if base.tol is not None or base.morphism_key(lam) is None:
+        # a base whose events have no exact keys cannot compare them
+        if (base.tol is not None
+                or base.morphism_key(base.identity(base.unit())) is None):
             return False
         bases = [base.probe_basis(o) for o in (x, c, base.tensor_obj(x, c))]
         if None in bases:
             return False
         xs, cs, xcs = (p[half == "effect"] for p in bases)
-        if half == "state":
-            whole = [base.compose(s, lam) for s in xcs]
-            tensors = [base.tensor(w, v) for w in xs for v in cs]
-        else:
-            whole = xcs
-            tensors = [base.compose(lam, base.tensor(e, u))
-                       for e in xs for u in cs]
-        keys = {base.morphism_key(f) for f in whole}
+        keys = {base.morphism_key(f) for f in xcs}
         return None not in keys and keys == {
-            base.morphism_key(f) for f in tensors}
+            base.morphism_key(base.tensor(p, q)) for p in xs for q in cs}
 
     def _memo(self, memo, f, compute):
         key = self.base.morphism_key(f)

@@ -1,14 +1,14 @@
 """Concrete operational theories.
 
-The exact theories (partial functions, matrices over a semiring,
-substochastic matrices) load with this package.  The quantum theories,
+The exact theories load with this package.  They are all matrices over a
+semiring: partial functions are the sub-unit matrices over the naturals,
+substochastic matrices those over the rationals.  The quantum theories,
 ``CpsuTheory`` and ``FinHilbTheory`` in :mod:`opcheck.instances.cpsu`, are
 the only ones that use numpy; they are loaded on first access, so a program
 that uses only exact theories never imports numpy.
 """
 
-from .pfun import PFunTheory
-from .matrix import MatrixTheory, SubStochTheory
+from .matrix import MatrixTheory, PFunTheory, SubStochTheory
 
 __all__ = ["PFunTheory", "MatrixTheory", "SubStochTheory", "CpsuTheory",
            "FinHilbTheory"]

@@ -12,7 +12,10 @@ instance is the same structure over the nonnegative rationals, where the
 sub-unit subset is the rationals in [0, 1] and the form is the canonical
 integer one; it keeps a denominator grid so homsets become enumerable
 (exhaustive relative to the grid), which is fixed when the theory is
-built.
+built.  Sets and partial functions are the same structure over the
+naturals, whose sub-unit rows are the 0/1 rows with at most one 1: an
+object is the size of a set, and an event the matrix of a partial
+function, held in the same integer form with denominator 1.
 """
 
 from __future__ import annotations
@@ -255,3 +258,12 @@ class SubStochTheory(MatrixTheory):
 
     def __init__(self, grid=4):
         super().__init__(kernel.RATIONALS01, grid=grid, name="substoch")
+
+
+class PFunTheory(MatrixTheory):
+    """Sets and partial functions: deterministic classical events, as the
+    sub-unit matrices over the naturals.  Each row holds at most one 1,
+    the point its source goes to, if any."""
+
+    def __init__(self):
+        super().__init__(kernel.NATURALS, grid=1, name="pfun")

@@ -6,12 +6,12 @@ in lowest terms with a positive denominator.
 A matrix theory holds each event in its carrier's *form* and leaves all
 matrix arithmetic (product, stacking, pairing, Kronecker product and
 effect complements) to the :class:`Semiring` methods on that form.  By
-default the form is the tuple of rows itself.  The rationals
-(:data:`RATIONALS01`, a :class:`RationalSemiring`) use the canonical
-integer form instead, the numerators over their least common denominator
-(:func:`rational_form`), and compute on plain Python integers;
-:func:`rational_rows` turns a form back into ``Fraction`` rows where those
-are read.  :func:`semiring_product` and :func:`check_event` work on rows
+default the form is the tuple of rows itself.  The rationals and the
+naturals (:data:`RATIONALS01` and :data:`NATURALS`, each a
+:class:`RationalSemiring`) use the canonical integer form instead, the
+numerators over their least common denominator (:func:`rational_form`;
+for the naturals it is 1), and compute on plain Python integers;
+:func:`rational_rows` turns a form back into rows where those are read.  :func:`semiring_product` and :func:`check_event` work on rows
 over the semiring's own operations; they are the reference the integer
 path is tested against.
 Floating point is confined to the complex-matrix helpers; every tolerance
@@ -269,18 +269,6 @@ INTEGERS = RuleSemiring(
     parse_element=_int_parse,
 )
 
-NATURALS = RuleSemiring(
-    "naturals",
-    monotone=True,
-    zero=0, one=1,
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
-    contains=lambda a: isinstance(a, int) and not isinstance(a, bool) and a >= 0,
-    complements=lambda a: (1 - a,) if a <= 1 else (),
-    grid_elements=lambda grid: tuple(range(0, grid + 1)),
-    parse_element=_int_parse,
-)
-
 # The two-element semiring with OR as addition and AND as multiplication.
 # Here 1 has two complements (1+0 = 1+1 = 1), which is exactly why Mat over
 # this carrier is shipped as a negative fixture.
@@ -363,11 +351,10 @@ def reduced_form(numerators, d):
     return tuple(tuple(n // g for n in row) for row in numerators), d // g
 
 
-def rational_rows(form):
-    """The rows of ``Fraction``s whose :func:`rational_form` is ``form``,
-    reusing the carrier's zero and one."""
+def rational_rows(form, zero=Fraction(0), one=Fraction(1)):
+    """The rows of rationals whose :func:`rational_form` is ``form``, with
+    ``zero`` and ``one`` for the entries 0 and 1."""
     numerators, d = form
-    zero, one = RATIONALS01.zero, RATIONALS01.one
     return tuple(tuple(zero if n == 0 else one if n == d else Fraction(n, d)
                        for n in row) for row in numerators)
 
@@ -464,16 +451,18 @@ def row_in_unit(semiring, row):
 
 
 class RationalSemiring(RuleSemiring):
-    """A carrier of ``Fraction``s whose matrix form is the canonical integer
-    form ``(numerators, d)`` of :func:`rational_form`, so every matrix
-    operation runs on plain Python integers; ``rows`` builds the
-    ``Fraction`` rows where those are read."""
+    """A carrier inside the nonnegative rationals whose matrix form is the
+    canonical integer form ``(numerators, d)`` of :func:`rational_form`, so
+    every matrix operation runs on plain Python integers; ``rows`` builds
+    the rows of carrier elements where those are read."""
 
     form = staticmethod(rational_form)
-    rows = staticmethod(rational_rows)
     product = staticmethod(rational_product)
     stack = staticmethod(rational_stack)
     side_by_side = staticmethod(rational_side_by_side)
+
+    def rows(self, form):
+        return rational_rows(form, self.zero, self.one)
 
     def zero_one(self, bits):
         return bits, 1
@@ -503,6 +492,19 @@ RATIONALS01 = RationalSemiring(
     grid_elements=lambda grid: tuple(Fraction(k, grid) for k in range(grid + 1)),
     element_str=rational_str,
     parse_element=parse_rational,
+)
+
+# The sub-unit subset is {0, 1}, so every form has ``d`` 1.
+NATURALS = RationalSemiring(
+    "naturals",
+    monotone=True,
+    zero=0, one=1,
+    add=lambda a, b: a + b,
+    mul=lambda a, b: a * b,
+    contains=lambda a: isinstance(a, int) and not isinstance(a, bool) and a >= 0,
+    complements=lambda a: (1 - a,) if a <= 1 else (),
+    grid_elements=lambda grid: tuple(range(0, grid + 1)),
+    parse_element=_int_parse,
 )
 
 BUILTIN_SEMIRINGS = {

@@ -5,8 +5,9 @@ A theory file is a JSON document.  The ``kind`` field selects between:
 - ``builtin``: one of the shipped instances (``pfun``, ``substoch``,
   ``mat``, ``cpsu``) with its parameters.  The ``mat`` instance takes a
   semiring, either the name of a builtin carrier or an inline finite
-  semiring given by element lists and operation tables.  Only ``cpsu``
-  loads :mod:`opcheck.instances.cpsu`, and with it numpy.
+  semiring given by element lists and operation tables.  ``pfun`` is the
+  matrices over the naturals with entries 0 and 1, so it takes no grid.
+  Only ``cpsu`` loads :mod:`opcheck.instances.cpsu`, and with it numpy.
 - ``table``: an explicit finite theory (see :mod:`opcheck.table`), with
   named objects and sizes, named events carrying semiring matrices, an
   optional test list and coarse-graining table, and a discard designation
@@ -228,7 +229,8 @@ def load_theory(path, grid=None):
     except json.JSONDecodeError as exc:
         raise TheoryFileError(f"invalid JSON: {exc}", path) from exc
     theory = parse_doc(doc, grid)
-    if grid is not None and not isinstance(theory, MatrixTheory):
+    if grid is not None and (not isinstance(theory, MatrixTheory)
+                             or isinstance(theory, PFunTheory)):
         raise TheoryFileError("--grid does not apply to this theory", path)
     return theory
 
@@ -274,6 +276,8 @@ def serialize_theory(theory, bound=None):
         if theory.coarse_grain_table:
             doc["coarse_grain"] = [list(t) for t in theory.coarse_grain_table]
         return doc
+    if isinstance(theory, PFunTheory):
+        return {"format": FORMAT, "kind": "builtin", "name": "pfun"}
     if isinstance(theory, SubStochTheory):
         return {"format": FORMAT, "kind": "builtin", "name": "substoch",
                 "parameters": {"grid": theory.grid}}
@@ -286,8 +290,6 @@ def serialize_theory(theory, bound=None):
         return {"format": FORMAT, "kind": "builtin", "name": "mat",
                 "parameters": {"semiring": _serialize_semiring(theory.semiring),
                                "grid": theory.grid}}
-    if isinstance(theory, PFunTheory):
-        return {"format": FORMAT, "kind": "builtin", "name": "pfun"}
     if hasattr(theory, "source_doc"):
         return theory.source_doc
     raise TheoryFileError(

@@ -112,14 +112,15 @@ def test_03_mat_bool_complement_failure():
 
 def test_04_counting_oracles():
     pfun = PFunTheory()
-    two = frozenset({"x1", "x2"})
-    events = pfun.enumerate_hom(two, two)
+    events = pfun.enumerate_hom(2, 2)
     assert len(events) == 9
     assert sum(1 for f in events if ops.is_total(f)) == 4
-    # independent brute force: partial maps {x1,x2} -> {x1,x2}
+    # independent brute force: partial maps {x1,x2} -> {x1,x2}, each source
+    # going to no target or to one, and the total ones among them
     targets = [None, "x1", "x2"]
-    oracle = sum(1 for _ in itertools.product(targets, repeat=2))
-    assert oracle == 9
+    maps = list(itertools.product(targets, repeat=2))
+    assert len(maps) == 9
+    assert sum(1 for m in maps if None not in m) == 4
 
     matb = MatrixTheory(BOOLEANS)
     events = matb.enumerate_hom(2, 2)

@@ -236,7 +236,7 @@ def _discard_composites(th):
 def test_each_event_keeps_its_discard_composite():
     pfun = PFunTheory()
     calls, built = _discard_composites(pfun)
-    a = frozenset({"x1", "x2"})
+    a = 2
     f = pfun.enumerate_hom(a, a)[-1]
     obs = ops.observation(f)
     assert f.observation is obs and ops.observation(f) is obs

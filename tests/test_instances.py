@@ -35,40 +35,44 @@ F = Fraction
 
 
 # -- partial functions -----------------------------------------------------
+# An object is the size of a set, and an event the 0/1 matrix of a partial
+# function: row x has its 1 in column y when x goes to y, and none when x
+# is undefined.
 
 def test_pfun_composition_is_relational():
     pfun = PFunTheory()
-    a = frozenset({"x1", "x2"})
-    f = pfun.validate_event([("x1", "x2")], a, a)
-    g = pfun.validate_event([("x2", "x1")], a, a)
+    f = pfun.validate_event([(0, 1), (0, 0)], 2, 2)  # x1 -> x2
+    g = pfun.validate_event([(0, 0), (1, 0)], 2, 2)  # x2 -> x1
     h = pfun.compose(g, f)
-    assert h.payload == (("x1", "x1"),)
+    assert h.payload == ((1, 0), (0, 0))              # x1 -> x1
+    assert all(type(x) is int for row in h.payload for x in row)
 
 
 def test_pfun_complement_is_undefined_set():
     pfun = PFunTheory()
-    a = frozenset({"x1", "x2"})
-    e = pfun.validate_event([("x1", "*")], a, pfun.unit())
+    e = pfun.validate_event([(1,), (0,)], 2, pfun.unit())  # defined on x1
     (c,) = pfun.effect_complements(e)
-    assert c.payload == (("x2", "*"),)
+    assert c.payload == ((0,), (1,))                       # defined on x2
 
 
 def test_pfun_tensor_is_product():
     pfun = PFunTheory()
-    a = frozenset({"x1"})
-    f = pfun.identity(a)
-    g = pfun.identity(a)
+    f = pfun.validate_event([(0, 1), (0, 0)], 2, 2)  # x1 -> x2
+    g = pfun.validate_event([(0, 1), (1, 0)], 2, 2)  # the swap
     fg = pfun.tensor(f, g)
-    assert fg.dom == pfun.tensor_obj(a, a)
-    assert ops.is_total(fg)
+    assert fg.dom == fg.cod == pfun.tensor_obj(2, 2) == 4
+    # (x, p) goes to (f(x), g(p)) where f(x) is defined: (x1, x1) goes to
+    # (x2, x2) and (x1, x2) to (x2, x1); (x2, _) goes nowhere
+    assert fg.payload == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 0),
+                          (0, 0, 0, 0))
+    assert ops.is_total(pfun.tensor(pfun.identity(2), pfun.identity(1)))
 
 
 def test_pfun_hom_count_matches_enumeration():
     pfun = PFunTheory()
-    a = frozenset({"x1", "x2", "x3"})
-    b = frozenset({"y"})
-    assert pfun.hom_count(a, b) == 2 ** 3
-    assert len(pfun.enumerate_hom(a, b)) == 8
+    assert pfun.hom_count(3, 1) == 2 ** 3
+    assert len(pfun.enumerate_hom(3, 1)) == 8
+    assert pfun.hom_count(2, 3) == len(pfun.enumerate_hom(2, 3)) == 4 ** 2
 
 
 # -- semiring matrices -----------------------------------------------------
@@ -674,20 +678,18 @@ def test_probe_basis_groups_events_as_every_probe_does(name, monoidal):
 
 @pytest.mark.parametrize("name", sorted(BASIS_THEORIES))
 def test_probe_basis_of_a_tensor_is_the_product_basis(name):
-    # the basis of a x c is the tensors of the bases of a and of c, up to
-    # the unitor of the unit, for each probe object a and ancilla c, so a
-    # monoidal quotient of the theory probes with no ancilla at all
+    # the basis of a x c is the tensors of the bases of a and of c, for
+    # each probe object a and ancilla c, so a monoidal quotient of the
+    # theory probes with no ancilla at all
     th = BASIS_THEORIES[name]()
-    lam = th.unitor_left(th.unit())
     ancillas = [c for c in th.probe_objects(2) if th.object_size(c) >= 1]
     for a, c in product(th.probe_objects(2), ancillas):
         (ws, es), (vs, us) = th.probe_basis(a), th.probe_basis(c)
         states, effects = th.probe_basis(th.tensor_obj(a, c))
-        assert ({th.morphism_key(th.compose(s, lam)) for s in states}
+        assert ({th.morphism_key(s) for s in states}
                 == {th.morphism_key(th.tensor(w, v)) for w in ws for v in vs})
         assert ({th.morphism_key(e) for e in effects}
-                == {th.morphism_key(th.compose(lam, th.tensor(e, u)))
-                    for e in es for u in us})
+                == {th.morphism_key(th.tensor(e, u)) for e in es for u in us})
     q = quotient(th, monoidal=True)
     for a, b in product(th.probe_objects(2), repeat=2):
         assert q._ancillas(a, b) == [None]

@@ -20,6 +20,7 @@ from opcheck.kernel import (
     NATURALS,
     RATIONALS01,
     FiniteSemiring,
+    Semiring,
     check_event,
     choi_positivity,
     is_hermitian,
@@ -375,26 +376,83 @@ def test_rational_events_are_born_in_the_form_of_their_payload(grid, data):
         lambda n, m: data.draw(_substochastic(n, m, data.draw(_grids)))))
 
 
+def _drawn_rows(semiring, elements, data):
+    """``drawn(n, m)`` for :func:`_born_events`: n rows drawn from the
+    event rows of m entries from ``elements``."""
+    rows = {m: _event_rows(semiring, m, elements) for m in range(3)}
+    return lambda n, m: tuple(data.draw(st.sampled_from(rows[m]))
+                              for _ in range(n))
+
+
 @pytest.mark.parametrize("semiring,grid,elements", [
     (BOOLEANS, 1, (0, 1)),
     (INTEGERS, 1, (-2, -1, 0, 1, 2)),
-    (NATURALS, 2, (0, 1, 2)),
-], ids=["booleans", "integers", "naturals"])
+], ids=["booleans", "integers"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_matrix_events_over_other_carriers_match_plain_rows(semiring, grid,
                                                            elements, data):
-    """The carriers whose form is the rows themselves run through the same
-    ``Semiring`` methods as the rationals; the pairing of two identities is
-    refused exactly where one plus one has no complement."""
+    """The booleans and the integers, whose form is the rows themselves,
+    run through the same ``Semiring`` methods as the rationals; the pairing
+    of two identities is refused exactly where one plus one has no
+    complement."""
     th = MatrixTheory(semiring, grid=grid)
-    rows = {m: _event_rows(semiring, m, elements) for m in range(3)}
-    _check_born(th, _born_events(
-        th, data, st.integers(min_value=0, max_value=2),
-        lambda n, m: tuple(data.draw(st.sampled_from(rows[m])) for _ in range(n))))
+    _check_born(th, _born_events(th, data, st.integers(min_value=0, max_value=2),
+                                 _drawn_rows(semiring, elements, data)))
     pair = th.try_pairing([th.identity(1), th.identity(1)])
     assert (pair is None) == (not semiring.in_unit_interval(
         semiring.add(semiring.one, semiring.one)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_natural_events_are_born_in_the_integer_form(data):
+    """The naturals share the rationals' integer form, always over 1, and
+    their payloads come back as ints; the pairing of two identities is
+    refused, as one plus one has no complement."""
+    th = MatrixTheory(NATURALS, grid=2)
+    born = _born_events(th, data, st.integers(min_value=0, max_value=2),
+                        _drawn_rows(NATURALS, (0, 1, 2), data))
+    _check_born(th, born)
+    for e, want in born:
+        assert e.form == (want, 1)
+        assert repr(MatrixEvent(th, e.dom, e.cod, e.form).payload) == repr(want)
+    assert th.try_pairing([th.identity(1), th.identity(1)]) is None
+
+
+@st.composite
+def _partial_functions(draw, n, m):
+    """The 0/1 matrix over the naturals of a partial function from n
+    points to m: each row holds at most one 1."""
+    targets = st.one_of(st.none(), st.integers(min_value=0, max_value=m - 1)) \
+        if m else st.none()
+    return tuple(tuple(int(j == y) for j in range(m))
+                 for y in (draw(targets) for _ in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_natural_forms_match_the_plain_rows_reference(data):
+    """On sub-unit matrices over the naturals, each integer-form method of
+    ``NATURALS`` gives the form of what the plain-rows ``Semiring`` method
+    gives on the rows, and ``rows`` turns a form back into ints."""
+    s, plain = NATURALS, Semiring
+    n, k, m, p = (data.draw(st.integers(min_value=0, max_value=3))
+                  for _ in range(4))
+    f, h = (data.draw(_partial_functions(rows, m)) for rows in (n, k))
+    g, side, e = (data.draw(_partial_functions(rows, cols))
+                  for rows, cols in ((m, p), (n, p), (n, 1)))
+    form = s.form
+    for rows in (f, g, e):
+        assert repr(s.rows(form(rows))) == repr(rows)
+    assert s.product(form(f), form(g), p) == form(plain.product(s, f, g, p))
+    assert s.stack([form(f), form(h)]) == form(plain.stack(s, [f, h]))
+    joined = plain.side_by_side(s, [f, side])
+    assert s.side_by_side([form(f), form(side)]) == (
+        None if joined is None else form(joined))
+    assert s.kron(form(f), form(g)) == form(plain.kron(s, f, g))
+    assert s.effect_complements(form(e)) == [
+        form(c) for c in plain.effect_complements(s, e)]
 
 
 @pytest.mark.parametrize("grid", range(1, 7))

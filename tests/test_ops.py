@@ -115,10 +115,8 @@ def test_codiagonal_folds(sub):
 
 def test_pfun_pairing_requires_disjoint_domains():
     pfun = PFunTheory()
-    a = frozenset({"x1", "x2"})
-    b = frozenset({"x1"})
-    f = pfun.validate_event([("x1", "x1")], a, b)
-    g = pfun.validate_event([("x2", "x1")], a, b)
-    clash = pfun.validate_event([("x1", "x1")], a, b)
+    f = pfun.validate_event([(1,), (0,)], 2, 1)      # defined on x1
+    g = pfun.validate_event([(0,), (1,)], 2, 1)      # defined on x2
+    clash = pfun.validate_event([(1,), (0,)], 2, 1)  # defined on x1 again
     assert pfun.try_pairing([f, g]) is not None
     assert pfun.try_pairing([f, clash]) is None

@@ -255,7 +255,7 @@ def _plus_pfun(**keys):
     (_plus_pfun(bound=1, objects=["<>", 1]), False),
     (_plus_pfun(objects=["<>"]), True),
     (_plus_pfun(bound=1, objects=["<>"]), True),
-    (_plus_pfun(bound=1, objects=["<>", "<{'x1'}>", "<{'x2'}>"]), True),
+    (_plus_pfun(bound=1, objects=["<>", "<1>", "<2>"]), True),
 ], ids=["not-a-list", "not-strings", "no-bound", "too-few", "too-many"])
 def test_plus_objects_that_are_not_the_bounds_probe_objects_are_rejected(
         doc, in_schema):
