@@ -90,6 +90,13 @@ came to be the sub-unit matrices over the naturals.  The ``pfun_report``
 fixture of ``test_acceptance.py`` builds it, so
 ``test_02_pfun_positive_fixture`` compares it there.
 
+``quotient_pfun.json`` and ``quotient_pfun_monoidal.json`` were recorded
+again when partial functions came to be the sub-unit matrices over the
+naturals, whose objects are sizes: only the object labels moved
+(``{}``, ``{'x1'}`` and ``{'x1', 'x2'}`` became ``0``, ``1`` and ``2``, and
+the keys of ``class_counts`` are sorted by the new labels); every class
+count and the ``separated`` and ``monoidal`` values stayed.
+
 ``quotient_mat_int_monoidal.json`` and ``quotient_mat_bool_monoidal.json``
 (the ``quotient`` command above on ``mat_int`` and ``mat_bool`` with
 ``--monoidal``) were recorded before the quotient came to leave out the
