@@ -594,12 +594,11 @@ def check_cancellativity(run):
 
 
 def _merges_agree(run, e1, e2, e3):
-    """Whether ``e1`` and ``e2`` differ, each pairs with ``e3``, and the two
-    merges are equal."""
+    """Whether ``e1 != e2`` both pair with ``e3`` into equal merges."""
     th = run.theory
     hs = [th.try_pairing([e, e3]) for e in (e1, e2)]
-    return (not th.equal(e1, e2) and None not in hs
-            and len({run.key(ops.merge_pairing(h, th.unit())) for h in hs}) == 1)
+    return not th.equal(e1, e2) and None not in hs and len(
+        {run.key(ops.merge_pairing(h, th.unit())) for h in hs}) == 1
 
 
 def check_discard_tensor(run):
@@ -658,8 +657,8 @@ def check_c2_joint_monic(run):
 
 
 def _extension_not_canonical(f):
-    """Whether the observation of ``f`` has several complements, or one that
-    does not pair with ``f``."""
+    """Whether ``f``'s observation has several complements, or one that does
+    not pair with ``f``."""
     th = f.theory
     cs = th.effect_complements(ops.observation(f))
     return len(cs) > 1 or (len(cs) == 1 and th.try_pairing([f, cs[0]]) is None)
@@ -823,15 +822,13 @@ def check_def31_c1(run):
                 for i in range(2)]
         for _, _, totals in run.homsets(((x, aa) for x in run.probes()),
                                         run.totals_into_lift):
-            clash = _first_clash(run, totals, lambda f: tuple(
-                run.key(th.compose(m, f)) for m in maps))
+            lifted = lambda f: tuple(run.key(th.compose(m, f)) for m in maps)
+            clash = _first_clash(run, totals, lifted)
             if clash:
                 g, f = clash
                 run.fail("the lifted projections are jointly monic",
-                         {"f": f, "g": g}, repr(f), repr(g),
-                         replay=lambda: not th.equal(f, g) and all(
-                             run.key(th.compose(m, f))
-                             == run.key(th.compose(m, g)) for m in maps))
+                         {"f": f, "g": g}, repr(f), repr(g), replay=lambda:
+                         not th.equal(f, g) and lifted(f) == lifted(g))
 
 
 def check_def31_c2(run):
@@ -1045,15 +1042,13 @@ def check_separation(run):
         if len(hs) * len(states) * len(effects) > run.cfg.cap:
             run.notes.add("scan-skipped-over-cap")
             continue
-        clash = _first_clash(
-            run, hs, lambda f: th.outcome_key(f, states, effects))
+        outcomes = lambda f: th.outcome_key(f, states, effects)
+        clash = _first_clash(run, hs, outcomes)
         if clash:
             g, f = clash
             run.fail("probes separate parallel events",
-                     {"f": f, "g": g}, repr(f), repr(g),
-                     replay=lambda: not th.equal(f, g)
-                     and th.outcome_key(f, states, effects)
-                     == th.outcome_key(g, states, effects))
+                     {"f": f, "g": g}, repr(f), repr(g), replay=lambda:
+                     not th.equal(f, g) and outcomes(f) == outcomes(g))
 
 
 # ---------------------------------------------------------------------------

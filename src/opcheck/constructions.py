@@ -441,10 +441,8 @@ class QuotientTheory(_OnBaseObjects):
     ``b`` and of ``c``, compared by exact key.
     Each outcome of ``f x id_c`` is then ``(e . f . w) x (u . v)``, fixed
     by ``f``'s outcomes without the ancilla, so ``c`` cannot split a class
-    (local discriminability).  This holds for the matrix theories, partial
-    functions among them; the other shipped bases keep all their ancillas.
-    A base whose unit is not strict keeps them too, since a tensor of two
-    states goes out of ``unit x unit`` and so has another key.
+    (local discriminability).  This holds for the matrix theories; the
+    other shipped bases, and any whose unit is not strict, keep them all.
 
     Each base event is signed once: signatures, and the effect rows they are
     built from, are memoised under the event's exact key (the base's
@@ -510,9 +508,9 @@ class QuotientTheory(_OnBaseObjects):
         return out
 
     def _product_basis(self, x, c, half):
-        """Whether the ``half`` ("state" or "effect") of the base's basis of
-        ``x x c`` is the tensors of the halves of the bases of ``x`` and
-        of ``c``; decided once per ``(x, c, half)``."""
+        """Whether, on a base with exact keys, the ``half`` ("state" or
+        "effect") of its basis of ``x x c`` is the tensors of the halves of
+        the bases of ``x`` and of ``c``; decided once per ``(x, c, half)``."""
         key = (x, c, half)
         out = self._products.get(key)
         if out is None:
@@ -521,12 +519,9 @@ class QuotientTheory(_OnBaseObjects):
 
     def _decide_product(self, x, c, half):
         base = self.base
-        # a base whose events have no exact keys cannot compare them
-        if (base.tol is not None
-                or base.morphism_key(base.identity(base.unit())) is None):
-            return False
         bases = [base.probe_basis(o) for o in (x, c, base.tensor_obj(x, c))]
-        if None in bases:
+        if (base.tol is not None or None in bases
+                or base.morphism_key(base.identity(base.unit())) is None):
             return False
         xs, cs, xcs = (p[half == "effect"] for p in bases)
         keys = {base.morphism_key(f) for f in xcs}

@@ -1,11 +1,11 @@
 """Concrete operational theories.
 
-The exact theories load with this package.  They are all matrices over a
-semiring: partial functions are the sub-unit matrices over the naturals,
-substochastic matrices those over the rationals.  The quantum theories,
-``CpsuTheory`` and ``FinHilbTheory`` in :mod:`opcheck.instances.cpsu`, are
-the only ones that use numpy; they are loaded on first access, so a program
-that uses only exact theories never imports numpy.
+The exact theories, all matrices over a semiring (partial functions over
+the naturals, substochastic matrices over the rationals), load with this
+package.  The quantum theories, ``CpsuTheory`` and ``FinHilbTheory`` in
+:mod:`opcheck.instances.cpsu`, are the only ones that use numpy; they are
+loaded on first access, so a program that uses only exact theories never
+imports numpy.
 """
 
 from .matrix import MatrixTheory, PFunTheory, SubStochTheory

@@ -13,9 +13,7 @@ sub-unit subset is the rationals in [0, 1] and the form is the canonical
 integer one; it keeps a denominator grid so homsets become enumerable
 (exhaustive relative to the grid), which is fixed when the theory is
 built.  Sets and partial functions are the same structure over the
-naturals, whose sub-unit rows are the 0/1 rows with at most one 1: an
-object is the size of a set, and an event the matrix of a partial
-function, held in the same integer form with denominator 1.
+naturals, held in the same integer form, always over 1.
 """
 
 from __future__ import annotations
@@ -167,9 +165,6 @@ class MatrixTheory(SemiringMatrices):
     def coproduct(self, summands):
         return sum(summands)
 
-    def object_str(self, a):
-        return str(a)
-
     def object_size(self, a):
         return a
 
@@ -240,8 +235,7 @@ class MatrixTheory(SemiringMatrices):
         return MatrixEvent(self, f.dom * g.dom, f.cod * g.cod,
                            self.semiring.kron(f.form, g.form))
 
-    def unitor_left(self, a):
-        return self.identity(a)
+    unitor_left = SemiringMatrices.identity
 
     # -- validation --------------------------------------------------------
     def _diagnostic(self, bad):
@@ -261,8 +255,7 @@ class SubStochTheory(MatrixTheory):
 
 
 class PFunTheory(MatrixTheory):
-    """Sets and partial functions: deterministic classical events, as the
-    sub-unit matrices over the naturals.  Each row holds at most one 1,
+    """Partial functions: each row holds at most one 1, in the column of
     the point its source goes to, if any."""
 
     def __init__(self):

@@ -11,9 +11,10 @@ naturals (:data:`RATIONALS01` and :data:`NATURALS`, each a
 :class:`RationalSemiring`) use the canonical integer form instead, the
 numerators over their least common denominator (:func:`rational_form`;
 for the naturals it is 1), and compute on plain Python integers;
-:func:`rational_rows` turns a form back into rows where those are read.  :func:`semiring_product` and :func:`check_event` work on rows
-over the semiring's own operations; they are the reference the integer
-path is tested against.
+:func:`rational_rows` turns a form back into rows where those are read.
+:func:`semiring_product` and :func:`check_event` work on rows over the
+semiring's own operations; they are the reference the integer path is
+tested against.
 Floating point is confined to the complex-matrix helpers; every tolerance
 is passed explicitly.  Only the quantum theories (cpsu, finhilb) call them,
 and they are the only code here that uses numpy, which each imports when

@@ -229,8 +229,7 @@ def load_theory(path, grid=None):
     except json.JSONDecodeError as exc:
         raise TheoryFileError(f"invalid JSON: {exc}", path) from exc
     theory = parse_doc(doc, grid)
-    if grid is not None and (not isinstance(theory, MatrixTheory)
-                             or isinstance(theory, PFunTheory)):
+    if grid is not None and type(theory) not in (MatrixTheory, SubStochTheory):
         raise TheoryFileError("--grid does not apply to this theory", path)
     return theory
 
