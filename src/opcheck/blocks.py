@@ -24,13 +24,15 @@ write to their entries.  A subclass defines:
   where it is computed (cpsu freezes its arrays there);
 - ``try_pairing``, which extends the one here (the grids side by side) by
   deciding whether each row of the result is a partial test, and may
-  override ``Theory.pairing_table`` to decide many pairs at once, as cpsu
-  does on its stacked unital images;
+  override ``Theory.pairing_table`` and ``Theory.merge_table`` to decide
+  and merge many pairs at once, as cpsu does on its stacked unital images
+  and blocks;
 - optionally ``Theory.outcome_key``, to compute every outcome of a
   separation scan at once, as cpsu does on stacked blocks;
 - ``_dot(x, z, row, col)``, the entry from ``x`` to ``z`` of a matrix
   product: the merge over ``j`` of ``col[j]`` after ``row[j]``;
-- enumeration, sampling and validation.
+- enumeration, sampling (optionally ``Theory.sample_homset``, to draw a
+  homset at once, as cpsu does over stacked blocks) and validation.
 """
 
 from __future__ import annotations

@@ -201,6 +201,11 @@ def _relaxed_equal(theory, f, g):
     return relaxed, relaxed
 
 
+def _seen(view, events):
+    """The events through ``view``, or themselves when ``view`` is None."""
+    return events if view is None else [view(f) for f in events]
+
+
 class _Failed(Exception):
     """Raised by :meth:`_Run.fail` to end a check at its first
     counterexample; :func:`run_check` catches it."""
@@ -256,7 +261,7 @@ class _Run:
         except NotEnumerable:
             pass
         try:
-            out = [th.sample_hom(a, b, self.rng) for _ in range(self.cfg.samples)]
+            out = th.sample_homset(a, b, self.rng, self.cfg.samples)
         except NotEnumerable:
             self.skip(a, b, "neither enumerable nor samplable")
             out = None
@@ -322,38 +327,46 @@ class _Run:
         """One seeded draw from ``pool``."""
         return pool[self.rng.randrange(len(pool))]
 
-    def pair_scan(self, fs, gs, *views):
-        """``(f, g, pairs)`` for each capped pair of ``fs`` and ``gs``, in
-        :func:`_capped_product` order, where ``pairs`` says whether ``f``
-        and ``g`` pair.  Given ``views``, it yields one such boolean per
-        view instead: whether ``view(f)`` and ``view(g)`` pair, a view of
-        None standing for the events themselves.
-
-        An uncapped scan reads one :meth:`Theory.pairing_table` per view.
-        A capped scan asks for a one-by-one table per drawn pair, when the
-        loop reaches it, so its draws interleave with the loop body's."""
+    def _scan(self, fs, gs, tables):
+        """``(f, g, *entries)`` for each capped pair of ``fs`` and ``gs``, in
+        :func:`_capped_product` order, the entries read from the tables
+        that ``tables(fs, gs)`` returns.  An uncapped scan reads one set of
+        tables; a capped scan asks for one-by-one tables per drawn pair,
+        when the loop reaches it, so its draws interleave with the loop
+        body's."""
         if not (fs and gs):
             return
-        views = views or (None,)
-
-        def tables(fs, gs):
-            table = self.theory.pairing_table
-            return [table(fs if v is None else [v(f) for f in fs],
-                          gs if v is None else [v(g) for g in gs])
-                    for v in views]
-
         if len(fs) * len(gs) <= self.cfg.cap:
             for f, *rows in zip(fs, *tables(fs, gs)):
-                for g, *pairs in zip(gs, *rows):
-                    yield f, g, *pairs
+                for g, *entries in zip(gs, *rows):
+                    yield f, g, *entries
             return
         for f, g in _capped_product(self, fs, gs):
-            yield f, g, *(pairs for [[pairs]] in tables([f], [g]))
+            yield f, g, *(entry for [[entry]] in tables([f], [g]))
+
+    def pair_scan(self, fs, gs, *views):
+        """``(f, g, *pairs)`` for each capped pair of ``fs`` and ``gs`` (see
+        :meth:`_scan`), with one boolean per view: whether ``view(f)`` and
+        ``view(g)`` pair, from :meth:`Theory.pairing_table`, a view of None
+        standing for the events themselves."""
+        table = self.theory.pairing_table
+        return self._scan(fs, gs, lambda fs, gs: [
+            table(_seen(v, fs), _seen(v, gs)) for v in views])
+
+    def merge_scan(self, fs, gs, view=None):
+        """``(f, g, merged)`` for each capped pair of ``fs`` and ``gs`` (see
+        :meth:`_scan`), where ``merged`` is ``view(f) v view(g)`` from
+        :meth:`Theory.merge_table`, or None when they do not pair; a view
+        of None stands for the events themselves."""
+        table = self.theory.merge_table
+        return self._scan(fs, gs, lambda fs, gs: [
+            table(_seen(view, fs), _seen(view, gs))])
 
     def pairing_pairs(self, hs):
-        """The capped pairs ``(f, g)`` of ``hs`` that satisfy the premise
-        "f and g pair"."""
-        return ((f, g) for f, g, pairs in self.pair_scan(hs, hs) if pairs)
+        """``(f, g, f v g)`` for the capped pairs of ``hs`` that satisfy the
+        premise "f and g pair"."""
+        return ((f, g, fg) for f, g, fg in self.merge_scan(hs, hs)
+                if fg is not None)
 
     # -- assertions --------------------------------------------------------
     def check_eq(self, f, g, equation, parts):
@@ -475,11 +488,16 @@ def check_coarse_graining(run):
     for a, b, hs in run.homsets(run.squares()):
         # hom(b, a) is fetched once, at the first pair that pairs
         fetched = False
-        for f, g in run.pairing_pairs(hs):
+        for f, g, fg in run.pairing_pairs(hs):
             run.tick()
-            fg = ops.coarse_grain(f, g)
-            gf = ops.coarse_grain(g, f)
-            run.check_eq(fg, gf, "f v g = g v f", {"f": f, "g": g})
+            # g v f is decided on its own: that is what the law tests
+            gf = th.try_pairing([g, f])
+            if gf is None:
+                run.fail("f v g defined but g, f do not merge",
+                         {"f": f, "g": g}, repr(fg), "undefined",
+                         replay=lambda: th.try_pairing([g, f]) is None)
+            run.check_eq(fg, ops.merge_pairing(gf, b), "f v g = g v f",
+                         {"f": f, "g": g})
             if not fetched:
                 post = run.homs(b, a)
                 fetched = True
@@ -701,10 +719,10 @@ def check_c4_distributivity(run):
     th = run.theory
     objs = [o for o in run.probes() if th.object_size(o) >= 1]
     for a, b, hs in run.homsets(run.squares(objs)):
-        for f, g in run.pairing_pairs(hs):
+        for f, g, fg in run.pairing_pairs(hs):
             h = run.pick(hs)
             run.tick()
-            lhs = th.tensor(h, ops.coarse_grain(f, g))
+            lhs = th.tensor(h, fg)
             hf, hg = th.tensor(h, f), th.tensor(h, g)
             paired = th.try_pairing([hf, hg])
             if paired is None:
@@ -896,17 +914,17 @@ def check_positivity(run):
             run.tick()
             if th.equal(ops.observation(f), zero_eff) and not th.equal(f, z):
                 run.fail("discard . f = 0 implies f = 0", {"f": f},
-                         repr(ops.observation(f)), repr(f))
-        for f, g in run.pairing_pairs(hs):
+                         repr(ops.observation(f)), repr(f), replay=lambda:
+                         th.equal(th.compose(th.discard(b), f), zero_eff)
+                         and not th.equal(f, z))
+        for f, g, fg in run.pairing_pairs(hs):
             run.tick()
-            if th.equal(ops.coarse_grain(f, g), z):
+            if th.equal(fg, z):
                 if not (th.equal(f, z) and th.equal(g, z)):
                     run.fail("f v g = 0 implies f = g = 0",
-                             {"f": f, "g": g},
-                             repr(ops.coarse_grain(f, g)), "0 with f, g != 0",
-                             replay=lambda f=f, g=g, z=z:
-                             th.equal(ops.coarse_grain(f, g), z)
-                             and not th.equal(f, z))
+                             {"f": f, "g": g}, repr(fg), "0 with f, g != 0",
+                             replay=lambda: th.equal(ops.coarse_grain(f, g), z)
+                             and not (th.equal(f, z) and th.equal(g, z)))
 
 
 def check_combining(run):
@@ -915,11 +933,8 @@ def check_combining(run):
         top = th.discard(a)
         legs = lambda b, c: _unless_skipped(run.homs(a, b), run.homs(a, c))
         for _, _, (fs, gs) in run.homsets(run.squares(), legs):
-            for f, g, observable in run.pair_scan(fs, gs, ops.observation):
-                if not observable:
-                    continue
-                ef, eg = ops.observation(f), ops.observation(g)
-                if not th.equal(ops.coarse_grain(ef, eg), top):
+            for f, g, merged in run.merge_scan(fs, gs, ops.observation):
+                if merged is None or not th.equal(merged, top):
                     continue
                 run.tick()
                 if th.try_pairing([f, g]) is None:
@@ -940,7 +955,16 @@ def check_observations(run):
                     run.fail("pairing exists iff the observations merge",
                              {"f": f, "g": g},
                              f"observations merge: {observable}",
-                             f"pairing exists: {paired}")
+                             f"pairing exists: {paired}",
+                             replay=lambda: _observations_disagree(f, g))
+
+
+def _observations_disagree(f, g):
+    """Whether "f and g pair" and "their discard composites, composed
+    afresh, pair" differ."""
+    th = f.theory
+    fresh = [th.compose(th.discard(e.cod), e) for e in (f, g)]
+    return (th.try_pairing(fresh) is None) != (th.try_pairing([f, g]) is None)
 
 
 def check_pcm_laws(run):

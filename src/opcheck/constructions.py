@@ -486,7 +486,7 @@ class QuotientTheory(_OnBaseObjects):
                     out = base.enumerate_hom(a, b, self.cap)
                 except (NotEnumerable, BoundExceeded):
                     rng = random.Random(f"{self.seed}:{tag}:{base.object_str(a)}:{base.object_str(b)}")
-                    out = [base.sample_hom(a, b, rng) for _ in range(self.samples)]
+                    out = base.sample_homset(a, b, rng, self.samples)
             self._probe_cache[key] = out
         return self._probe_cache[key]
 

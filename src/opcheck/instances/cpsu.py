@@ -37,7 +37,16 @@ images and decides sub-unitality from them.  ``pairing_table`` decides a
 whole scan of pairs that way: per domain block it stacks the events'
 images, sums them in the order that a pairing sums them and decides every
 defect in one stacked eigensolver call, so each entry is what
-``try_pairing`` decides for that pair.  ``outcome_key`` stacks the outcomes
+``try_pairing`` decides for that pair.  ``merge_table`` takes those
+verdicts and merges every pair that pairs from one stacked sum ``F + G``
+per block position, frozen once, each merge holding views into it; where
+one side is the shared zero block it keeps the other, as ``_dot`` does,
+so each merge is what ``ops.merge_pairing`` gives.  ``sample_homset``
+draws a homset at once: each event's normals and peaks come from its own
+generator, seeded in turn from the caller's, and the Kraus products, the
+unital images, the least eigenvalues and the scaling run once per block
+position over the stack, so each event has the bits of its own draw;
+``sample_hom`` is a batch of one.  ``outcome_key`` stacks the outcomes
 of a separation scan per block the same way: per block pair it forms
 ``f . w`` for every state in one ``einsum``, summed over the domain blocks
 in ``_dot``'s order, contracts that with every effect per codomain block
@@ -281,6 +290,32 @@ class CpsuTheory(BlockMatrices):
                 table &= self._sub_unital(_eye(d) - sum(row[1:], row[0]))
         return table.tolist()
 
+    def merge_table(self, fs, gs):
+        # the verdicts are pairing_table's; per block position, the sums
+        # F + G of every pair come from one stacked add, frozen once, and
+        # each merge holds views into it.  A shared zero block keeps the
+        # other block, as _dot does, so each merge has the entries that
+        # merge_pairing gives
+        verdicts = self.pairing_table(fs, gs)
+        if not (fs and gs):
+            return verdicts
+        dom, cod = fs[0].dom, fs[0].cod
+        zeros = [[_block_zero(x, z) for z in cod] for x in dom]
+
+        def stacked(events, i, k):
+            return np.stack([f.payload[i][k] for f in events])
+        sums = [[_freeze(stacked(fs, i, k)[:, None]
+                         + stacked(gs, i, k)[None, :])
+                 for k in range(len(cod))] for i in range(len(dom))]
+
+        def merge(p, q):
+            return self._m(dom, cod, [
+                [c_g if c_f is zero else c_f if c_g is zero else s[p, q]
+                 for zero, s, c_f, c_g in zip(*rows)]
+                for rows in zip(zeros, sums, fs[p].payload, gs[q].payload)])
+        return [[merge(p, q) if pairs else None for q, pairs in enumerate(row)]
+                for p, row in enumerate(verdicts)]
+
     def _sub_unital(self, defects):
         """Whether each matrix of a stack of square ``defects`` passes
         :func:`opcheck.kernel.choi_positivity`, by the same comparisons."""
@@ -296,35 +331,44 @@ class CpsuTheory(BlockMatrices):
 
     # -- sampling ----------------------------------------------------------
     def sample_hom(self, a, b, rng):
-        seed = rng.getrandbits(64)
-        if not a or not b:
-            # the homset has one member; the seed is drawn all the same, so
-            # the draws that follow do not depend on the shortcut
-            return self.zero_morphism(a, b)
-        np_rng = np.random.default_rng(seed)
-        # block (i, j) takes four (e, d) draws, in block order: the real and
-        # imaginary parts of one Kraus operator, then of a second
-        normals = np_rng.normal(size=4 * sum(a) * sum(b))
+        return self.sample_homset(a, b, rng, 1)[0]
+
+    def sample_homset(self, a, b, rng, n):
+        seeds = [rng.getrandbits(64) for _ in range(n)]
+        if not (a and b and seeds):
+            # a homset with an empty side has one member; the seeds are
+            # drawn all the same, so the draws that follow do not depend on
+            # the shortcut
+            return [self.zero_morphism(a, b) for _ in seeds]
+        # each event's own generator gives four (e, d) draws per block
+        # (i, j), in block order: the real and imaginary parts of one Kraus
+        # operator, then of a second; then one peak per domain block
+        normals, peaks = [], []
+        for seed in seeds:
+            np_rng = np.random.default_rng(seed)
+            normals.append(np_rng.normal(size=4 * sum(a) * sum(b)))
+            peaks.append(np_rng.uniform(0.1, 1.0, size=len(a)))
+        normals, peaks = np.stack(normals), np.stack(peaks)
         at = 0
         blocks = []
-        for d in a:
+        for i, d in enumerate(a):
             row = []
             for e in b:
-                k = normals[at:at + 4 * e * d].reshape(2, 2, e, d)
+                k = normals[:, at:at + 4 * e * d].reshape(n, 2, 2, e, d)
                 at += 4 * e * d
-                kraus = k[:, 0] + 1j * k[:, 1]
-                row.append(np.einsum("nka,nlb->kalb", kraus.conj(), kraus))
-            blocks.append(row)
-        # scale each domain block so the unital images sum below identity
-        peaks = np_rng.uniform(0.1, 1.0, size=len(a))
-        for i, d in enumerate(a):
-            img = np.zeros((d, d), dtype=complex)
-            for c in blocks[i]:
-                img += np.einsum("kakb->ab", c)
-            top = kernel.min_eigenvalue(-img)
-            scale = peaks[i] / max(-top, 1e-12)
-            blocks[i] = [_freeze(c * scale) for c in blocks[i]]
-        return self._m(a, b, blocks)
+                kraus = k[:, :, 0] + 1j * k[:, :, 1]
+                row.append(np.einsum("snka,snlb->skalb", kraus.conj(), kraus))
+            # scale each event's row so that its unital images sum below
+            # the identity
+            img = np.zeros((n, d, d), dtype=complex)
+            for c in row:
+                img += np.einsum("skakb->sab", c)
+            top = kernel.least_eigenvalues(-img)
+            scale = peaks[:, i] / np.maximum(-top, 1e-12)
+            blocks.append([_freeze(c * scale[:, None, None, None, None])
+                           for c in row])
+        return [self._m(a, b, [[c[s] for c in row] for row in blocks])
+                for s in range(n)]
 
     # -- validation --------------------------------------------------------
     def validate_event(self, payload, dom, cod):

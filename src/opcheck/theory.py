@@ -8,6 +8,12 @@ tensor and a probe basis (:meth:`Theory.probe_basis`: finitely many states
 and effects that decide operational equivalence as all of them do).
 Objects are plain hashable values whose shape is documented per instance;
 morphisms are :class:`Morphism` records tagged with their theory.
+Three hooks work per scan or per homset and default to a loop of the
+one-at-a-time operation: :meth:`Theory.pairing_table` decides which pairs
+of two event lists pair, :meth:`Theory.merge_table` merges every pair of
+two parallel lists that pairs, and :meth:`Theory.sample_homset` draws a
+sampled homset; an instance may do each at once, giving what the loop
+gives.
 
 All values are immutable after construction and every operation is a pure
 function, so theories may be shared freely between workers.  The
@@ -227,6 +233,26 @@ class Theory:
             return (self.try_pairing([f, g]) is not None for g in gs)
         return map(row, fs)
 
+    def merge_table(self, fs, gs):
+        """One row per event of ``fs``: entry ``j`` of the row of ``f`` is
+        the merge ``f v gs[j]`` (the codiagonal after their pairing), or
+        None when they do not pair.
+
+        The events of ``fs`` and ``gs`` are parallel.  The default decides
+        and merges each entry by ``self.try_pairing``, lazily, as
+        :meth:`pairing_table` does.  An instance may build the whole table
+        at once; every entry must equal the default's.
+        """
+        from . import ops
+
+        def merge(f, g):
+            h = self.try_pairing([f, g])
+            return None if h is None else ops.merge_pairing(h, f.cod)
+
+        def row(f):
+            return (merge(f, g) for g in gs)
+        return map(row, fs)
+
     def effect_complements(self, e):
         """All effects ``b`` with ``e`` merged with ``b`` equal to discard.
 
@@ -239,7 +265,7 @@ class Theory:
             h = self.try_pairing([e, b])
             if h is None:
                 continue
-            if self.equal(ops.coarse_grain(e, b), self.discard(e.dom)):
+            if self.equal(ops.merge_pairing(h, e.cod), self.discard(e.dom)):
                 out.append(b)
         return out
 
@@ -274,6 +300,12 @@ class Theory:
     def sample_hom(self, a, b, rng):
         """One pseudo-random morphism a -> b (used where enumeration fails)."""
         raise NotEnumerable(f"{self.name}: hom sampling not supported")
+
+    def sample_homset(self, a, b, rng, n):
+        """``n`` pseudo-random morphisms a -> b: by default ``n`` calls of
+        :meth:`sample_hom`.  An instance may draw them at once; it must
+        return what those calls return and leave ``rng`` where they do."""
+        return [self.sample_hom(a, b, rng) for _ in range(n)]
 
     # -- monoidal structure (optional) -------------------------------------
     def tensor_obj(self, a, b):

@@ -475,6 +475,21 @@ class _CotuplesTwice(SubStochTheory):
         return f.form, _tag(f)
 
 
+class _DiscardsOneEventToZero(SubStochTheory):
+    """Discarding after the event [1, 0] : 1 -> 2 gives the zero effect, so
+    a nonzero event is never observed (positivity).  The discard effects
+    are tagged copies, so the codiagonal, which has the same matrix as
+    discarding on 2, still merges."""
+
+    def discard(self, a):
+        return _Tagged(super().discard(a))
+
+    def compose(self, g, f):
+        if _tag(g) and _is(f, 1, 2, ((1, 0),)):
+            return self.zero_morphism(1, 1)
+        return super().compose(g, f)
+
+
 MUTANTS = {
     "coproduct-universal/existence": (_SwapsOneCotuple(grid=1), {
         "equation": "[f, g] . k1 = f",
@@ -502,6 +517,23 @@ MUTANTS = {
         },
         "lhs": "discard",
         "rhs": "no pairing",
+    }),
+    "assumption3-coarse-graining/commutativity": (_RefusesOneZeroMerge(grid=1), {
+        "equation": "f v g defined but g, f do not merge",
+        "parts": {
+            "f": "Morphism(substoch: 1 -> 2, ((Fraction(0, 1), Fraction(0, 1)),))",
+            "g": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
+        },
+        "lhs": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
+        "rhs": "undefined",
+    }),
+    "axiom-positivity": (_DiscardsOneEventToZero(grid=1), {
+        "equation": "discard . f = 0 implies f = 0",
+        "parts": {
+            "f": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
+        },
+        "lhs": "Morphism(substoch: 1 -> 1, ((Fraction(0, 1),),))",
+        "rhs": "Morphism(substoch: 1 -> 2, ((Fraction(1, 1), Fraction(0, 1)),))",
     }),
     "assumption4-zero": (_RefusesOneZeroMerge(grid=1), {
         "equation": "f and 0 always merge",
@@ -651,18 +683,19 @@ def test_quotient_classifies_through_its_signature_key():
 ])
 def test_sampled_homsets_are_drawn_once_per_probe_pair(check_id, draws_per_homset):
     cpsu = CpsuTheory()
-    sample_hom = cpsu.sample_hom
+    sample_homset = cpsu.sample_homset
     draws = []
 
-    def counted(a, b, rng):
-        draws.append((a, b))
-        return sample_hom(a, b, rng)
-    cpsu.sample_hom = counted
+    def counted(a, b, rng, n):
+        draws.append((a, b, n))
+        return sample_homset(a, b, rng, n)
+    cpsu.sample_homset = counted
     cfg = ProbeConfig(bound=2, samples=8)
     result = run_check(cpsu, cfg, check_id)
     assert result.ok
     pairs = len(cpsu.probe_objects(cfg.bound)) ** 2
-    assert len(draws) <= draws_per_homset * cfg.samples * pairs
+    assert len(draws) <= draws_per_homset * pairs
+    assert all(n <= cfg.samples for _, _, n in draws)
 
 
 def test_each_sampled_homset_is_drawn_once_per_check():
@@ -672,15 +705,16 @@ def test_each_sampled_homset_is_drawn_once_per_check():
         if check_id == "cat-assoc":
             continue
         cpsu = CpsuTheory()
-        sample_hom = cpsu.sample_hom
+        sample_homset = cpsu.sample_homset
         draws = Counter()
 
-        def counted(a, b, rng):
+        def counted(a, b, rng, n):
+            assert n <= cfg.samples, (check_id, a, b, n)
             draws[a, b] += 1
-            return sample_hom(a, b, rng)
-        cpsu.sample_hom = counted
+            return sample_homset(a, b, rng, n)
+        cpsu.sample_homset = counted
         run_check(cpsu, cfg, check_id)
-        assert max(draws.values(), default=0) <= cfg.samples, (check_id, draws)
+        assert max(draws.values(), default=0) <= 1, (check_id, draws)
 
 
 def test_a_check_run_alone_reports_what_it_reports_in_a_classification():
@@ -710,6 +744,49 @@ def test_cpsu_pairing_tables_report_what_the_try_pairing_loop_reports(cap):
     if cap == 30:
         notes = {n for c in got["checks"] for n in c.get("notes", ())}
         assert "pair-scan-capped" in notes
+
+
+class _ReferenceMerges(CpsuTheory):
+    """cpsu merging each pair of a scan by its own ``try_pairing`` call and
+    drawing each sampled homset one ``sample_hom`` call at a time."""
+
+    merge_table = Theory.merge_table
+    sample_homset = Theory.sample_homset
+
+    def sample_hom(self, a, b, rng):
+        return CpsuTheory.sample_homset(self, a, b, rng, 1)[0]
+
+
+@pytest.mark.parametrize("cap", [checker.DEFAULT_CAP, 30])
+def test_cpsu_merge_tables_and_batched_draws_report_what_the_defaults_report(cap):
+    # at cap 30 every 8-by-8 pair scan is capped, so each drawn pair reads a
+    # one-by-one merge table, between the draws of its loop body
+    cfg = ProbeConfig(bound=2, samples=8, seed=7, cap=cap)
+    got = classify(CpsuTheory(), cfg).to_json()
+    want = classify(_ReferenceMerges(), cfg).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    if cap == 30:
+        notes = {n for c in got["checks"] for n in c.get("notes", ())}
+        assert "pair-scan-capped" in notes
+
+
+@pytest.mark.parametrize("check_id,pairings_per_instance", [
+    ("axiom-combining", 1),  # f and g, decided on their own
+    ("axiom-positivity", 0),
+])
+def test_cpsu_merges_of_a_scan_decide_no_pairing_again(
+        check_id, pairings_per_instance):
+    cpsu = CpsuTheory()
+    pairing = cpsu.try_pairing
+    calls = []
+
+    def counted(events):
+        calls.append(len(events))
+        return pairing(events)
+    cpsu.try_pairing = counted
+    result = run_check(cpsu, ProbeConfig(bound=2, samples=8, seed=7), check_id)
+    assert result.ok and result.instances
+    assert len(calls) == pairings_per_instance * result.instances
 
 
 def test_cpsu_observations_are_decided_without_try_pairing():
@@ -768,12 +845,12 @@ class _TwinDraws(CpsuTheory):
     homset apart by identity, so separation meets two distinct events that
     no state and effect tell apart."""
 
-    def sample_hom(self, a, b, rng):
-        f = super().sample_hom(a, b, rng)
+    def sample_homset(self, a, b, rng, n):
+        fs = super().sample_homset(a, b, rng, n)
         if (a, b) != ((1,), (2,)):
-            return f
-        first = vars(self).setdefault("first_draw", f)
-        return Morphism(self, a, b, first.payload)
+            return fs
+        first = vars(self).setdefault("first_draw", fs[0])
+        return [Morphism(self, a, b, first.payload) for _ in fs]
 
     def equal(self, f, g, tol=None):
         if (f.dom, f.cod) == ((1,), (2,)):
@@ -801,10 +878,10 @@ def test_cpsu_separation_fails_on_two_events_with_one_outcome_table():
 class _UnsampledHomset(CpsuTheory):
     """cpsu whose hom((1), (1,1)) can be neither enumerated nor sampled."""
 
-    def sample_hom(self, a, b, rng):
+    def sample_homset(self, a, b, rng, n):
         if (a, b) == ((1,), (1, 1)):
             raise NotEnumerable("stub: hom((1), (1,1)) cannot be sampled")
-        return super().sample_hom(a, b, rng)
+        return super().sample_homset(a, b, rng, n)
 
 
 def test_a_homset_that_cannot_be_sampled_is_skipped_by_the_lifted_totals():

@@ -320,29 +320,117 @@ def _least_defect_eigenvalue(cpsu, f, g):
     return np.linalg.eigvalsh((defect + defect.conj().T) / 2).min()
 
 
+def _near_the_tolerance(cpsu, f, g, pairs):
+    """``g`` scaled so that the least eigenvalue of 1 - U_f - U_g sits just
+    inside -tol when ``pairs``, else just outside, on ``f``'s one domain
+    block."""
+    target = -cpsu.tol + (1e-12 if pairs else -1e-12)
+    lo, hi = 0.0, 10.0  # the least eigenvalue falls as g grows
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if _least_defect_eigenvalue(cpsu, f, _scaled(cpsu, g, mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    near = _scaled(cpsu, g, lo if pairs else hi)
+    assert abs(_least_defect_eigenvalue(cpsu, f, near) - target) < 1e-13
+    assert (cpsu.try_pairing([f, near]) is not None) is pairs
+    return near
+
+
 @pytest.mark.parametrize("a,b,c", [((1,), (1,), (2,)), ((2,), (1, 1), (2,))])
 def test_cpsu_pairing_table_agrees_with_try_pairing_at_the_tolerance(a, b, c):
-    # g is scaled so that the least eigenvalue of 1 - U_f - U_g sits just
-    # inside and just outside -tol, on one d = 1 or d = 2 domain block
+    # on one d = 1 or d = 2 domain block
     cpsu = CpsuTheory()
     rng = random.Random(9)
     f, g = cpsu.sample_hom(a, b, rng), cpsu.sample_hom(a, c, rng)
-    for offset, pairs in ((1e-12, True), (-1e-12, False)):
-        target = -cpsu.tol + offset
-        lo, hi = 0.0, 10.0  # the least eigenvalue falls as g grows
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if _least_defect_eigenvalue(cpsu, f, _scaled(cpsu, g, mid)) > target:
-                lo = mid
-            else:
-                hi = mid
-        near = _scaled(cpsu, g, lo if pairs else hi)
-        got = _least_defect_eigenvalue(cpsu, f, near)
-        assert abs(got - target) < 1e-13
-        assert (cpsu.try_pairing([f, near]) is not None) is pairs
+    for pairs in (True, False):
+        near = _near_the_tolerance(cpsu, f, g, pairs)
         assert _assert_table_matches_try_pairing(cpsu, [f], [near]) == {pairs}
         assert _assert_table_matches_try_pairing(cpsu, [f, f], [g, near, g]) \
             >= {pairs}
+
+
+def _assert_merges_match_the_default(cpsu, fs, gs):
+    """cpsu's merge table of ``fs`` and ``gs`` has None where the default's
+    has, and elsewhere frozen merges equal to its at tolerance 0 that keep
+    each entry the default takes from ``fs`` or ``gs`` as it is."""
+    got = [list(row) for row in cpsu.merge_table(fs, gs)]
+    want = [list(row) for row in Theory.merge_table(cpsu, fs, gs)]
+    assert ([[m is None for m in row] for row in got]
+            == [[m is None for m in row] for row in want])
+    for f, row, ref_row in zip(fs, got, want):
+        for g, m, ref in zip(gs, row, ref_row):
+            if m is None:
+                continue
+            assert _frozen(m) and cpsu.equal(m, ref, tol=0)
+            for cells in zip(*map(_cells, (m, ref, f, g))):
+                kept = cells[1] is cells[2] or cells[1] is cells[3]
+                assert (cells[0] is cells[1]) is kept
+    return {m is not None for row in got for m in row}
+
+
+def _cells(f):
+    return [c for row in f.payload for c in row]
+
+
+def _sparse(cpsu, f):
+    """``f`` with every other entry replaced by the shared zero block."""
+    return cpsu._m(f.dom, f.cod, [
+        [c if (i + k) % 2 else cpsu_module._block_zero(x, z)
+         for k, (z, c) in enumerate(zip(f.cod, row))]
+        for i, (x, row) in enumerate(zip(f.dom, f.payload))])
+
+
+def test_cpsu_merge_table_agrees_with_the_default_on_sampled_homsets():
+    cpsu = CpsuTheory()
+    objs = cpsu.probe_objects(2)
+    rng = random.Random(5)
+    verdicts = set()
+    for a, b in product(objs, objs):
+        # a or b may be the zero object (); the zero morphism, an identity
+        # and events with shared zero entries merge by keeping the other
+        # side's entries
+        fs = cpsu.sample_homset(a, b, rng, 3)
+        gs = cpsu.sample_homset(a, b, rng, 4) + [cpsu.zero_morphism(a, b)]
+        if a == b:
+            fs.append(cpsu.identity(a))
+        verdicts |= _assert_merges_match_the_default(cpsu, fs, gs)
+        # halved events pair more often, so both verdicts show up
+        halves = [_sparse(cpsu, _scaled(cpsu, g, 0.5)) for g in gs]
+        verdicts |= _assert_merges_match_the_default(cpsu, fs, halves)
+        verdicts |= _assert_merges_match_the_default(
+            cpsu, [_sparse(cpsu, f) for f in fs], halves)
+        assert [list(row) for row in cpsu.merge_table(fs, [])] == [[]] * len(fs)
+        assert list(cpsu.merge_table([], gs)) == []
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("a,b", [((1,), (2,)), ((2,), (1, 1))])
+def test_cpsu_merge_table_agrees_with_the_default_at_the_tolerance(a, b):
+    cpsu = CpsuTheory()
+    f, g = cpsu.sample_homset(a, b, random.Random(9), 2)
+    for pairs in (True, False):
+        near = _near_the_tolerance(cpsu, f, g, pairs)
+        assert _assert_merges_match_the_default(cpsu, [f], [near]) == {pairs}
+        assert _assert_merges_match_the_default(cpsu, [f, f], [g, near, g]) \
+            >= {pairs}
+
+
+def test_cpsu_sample_homset_is_n_draws_of_sample_hom():
+    cpsu = CpsuTheory()
+    objs = cpsu.probe_objects(2) + [(3,), (2, 1)]
+    for n in (1, 3, 8):
+        rng, ref_rng = random.Random(n), random.Random(n)
+        for a, b in product(objs, objs):
+            got = cpsu.sample_homset(a, b, rng, n)
+            want = [cpsu.sample_hom(a, b, ref_rng) for _ in range(n)]
+            assert rng.getstate() == ref_rng.getstate()
+            assert len(got) == n and all(map(_frozen, got))
+            for f, ref in zip(got, want):
+                assert (f.dom, f.cod) == (ref.dom, ref.cod)
+                assert ([c.tobytes() for c in _cells(f)]
+                        == [c.tobytes() for c in _cells(ref)])
 
 
 def test_cpsu_reuses_frozen_entries_and_freezes_every_entry(monkeypatch):

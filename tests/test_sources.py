@@ -2,8 +2,9 @@
 module under the package or the tests imports a name it never uses, only
 the quantum theories import numpy when the package is loaded, homsets are
 enumerated and kept in one place, checks end at their first
-counterexample by raising, not by a ``return`` written by hand, and the
-failures that give no replayable witness do not grow in number.
+counterexample by raising, not by a ``return`` written by hand, a check
+does not decide again the merges that a scan hands it, and the failures
+that give no replayable witness do not grow in number.
 
 ``compile`` reads the source afresh, so an invalid escape sequence or a
 similar slip is caught even where a cached ``.pyc`` would hide it.
@@ -151,9 +152,41 @@ def test_checks_end_at_a_counterexample_by_raising():
     assert not found, found
 
 
+def _calls_outside_replays(node, module, name):
+    """The calls ``module.name(...)`` in the tree under ``node``, leaving
+    out the ``replay=`` argument of every call."""
+    found = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.keyword) and n.arg == "replay":
+            continue
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == name and isinstance(n.func.value, ast.Name)
+                and n.func.value.id == module):
+            found.append(n)
+        stack.extend(ast.iter_child_nodes(n))
+    return found
+
+
+def test_scanned_merges_are_not_decided_again():
+    """A loop over the merges that a scan hands out merges no pair through
+    ``ops.coarse_grain``, which would decide its pairing again; only a
+    replay, which decides its law from scratch, may."""
+    tree = ast.parse((PACKAGE / "checker.py").read_text(encoding="utf-8"))
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and any(_run_calls(node.iter, name)
+                     for name in ("pairing_pairs", "merge_scan"))]
+    found = [f"line {call.lineno}" for loop in loops
+             for stmt in loop.body + loop.orelse
+             for call in _calls_outside_replays(stmt, "ops", "coarse_grain")]
+    assert loops
+    assert not found, found
+
+
 # The failures that give no replay; a witness should replay, so this
 # number may fall and must not rise.
-FAILS_WITHOUT_REPLAY = 14
+FAILS_WITHOUT_REPLAY = 12
 
 
 def test_failures_without_a_replay_do_not_grow():
