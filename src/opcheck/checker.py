@@ -491,12 +491,12 @@ def check_coarse_graining(run):
         for f, g, fg in run.pairing_pairs(hs):
             run.tick()
             # g v f is decided on its own: that is what the law tests
-            gf = th.try_pairing([g, f])
-            if gf is None:
+            paired = th.try_pairing([g, f])
+            if paired is None:
                 run.fail("f v g defined but g, f do not merge",
                          {"f": f, "g": g}, repr(fg), "undefined",
                          replay=lambda: th.try_pairing([g, f]) is None)
-            run.check_eq(fg, ops.merge_pairing(gf, b), "f v g = g v f",
+            run.check_eq(fg, ops.merge_pairing(paired, b), "f v g = g v f",
                          {"f": f, "g": g})
             if not fetched:
                 post = run.homs(b, a)
